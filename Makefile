@@ -13,12 +13,11 @@ install:
 test:
 	$(PYTHON) -m pytest tests/
 
-# Fastest full regeneration: every experiment in metrics mode (streaming
-# counters, no trace rows) at reduced scale, fanned out over $(JOBS).
-# Output is byte-identical to the same scale in full mode.
+# Fastest full regeneration: every experiment at reduced scale, fanned
+# out over $(JOBS).
 fast:
 	REPRO_SEQUENCES=2 REPRO_EVENTS=8 $(PYTHON) -m repro.cli all \
-		--mode metrics --jobs $(JOBS)
+		--jobs $(JOBS)
 
 # One regeneration pass over every table/figure bench (3 sequences).
 # Fans cold simulations out over $(JOBS) workers and persists them under

@@ -52,14 +52,13 @@ GUARD_THRESHOLD = 1.05
 
 #: Calm workload for the armed-but-quiet equality check: 0.2/s Poisson
 #: never backs the queue up, so no symptom can fire.
-QUIET_TASK = ("nimblock", "unbounded", 0.2, 0.0, 1, 40, 10_000.0,
-              "metrics", True)
+QUIET_TASK = ("nimblock", "unbounded", 0.2, 0.0, 1, 40, 10_000.0, True)
 
 #: Subprocess probe: a plain service run must not import repro.autotune.
 _STRUCTURAL_PROBE = """
 import sys
 from repro.facade import serve
-report = serve('nimblock', rate=1.0, submissions=40, mode='metrics')
+report = serve('nimblock', rate=1.0, submissions=40)
 assert report.completed + report.shed + report.dropped == report.arrived
 bad = sorted(m for m in sys.modules if 'autotune' in m)
 if bad:
@@ -99,9 +98,9 @@ def drill_payload(jobs: int, fast: bool) -> dict:
 
     if fast:
         return tune(rate=2.0, submissions=240, seed=1,
-                    window_ms=10_000.0, mode="metrics", jobs=jobs)
+                    window_ms=10_000.0, jobs=jobs)
     return tune(rate=1.0, submissions=600, seed=1,
-                window_ms=10_000.0, mode="metrics", jobs=jobs)
+                window_ms=10_000.0, jobs=jobs)
 
 
 def determinism_check(fast: bool) -> dict:
@@ -154,8 +153,7 @@ def measure(fast: bool) -> Dict[str, float]:
     # a replaying un-armed run would pay cache recording the armed run
     # skips — the timing must compare live path against live path.
     submissions = 120 if fast else 400
-    task = (QUIET_TASK[:5] + (submissions,) + QUIET_TASK[6:8]
-            + (False,))
+    task = QUIET_TASK[:5] + (submissions,) + QUIET_TASK[6:7] + (False,)
     repetitions = 3 if fast else 5
     service_cells([task], jobs=1)  # warm caches
     plain: List[float] = []

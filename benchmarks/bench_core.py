@@ -11,11 +11,11 @@ hypervisor decision passes and the trace recorder. The rates reported
   enqueue phase and the dispatch (``run``) phase timed separately. The
   fire rate is the per-event overhead floor of the heap itself and the
   number held to the >=1M events/sec target;
-* **sim events/sec** (``mode="full"``) and **sim metrics events/sec**
-  (``mode="metrics"``) — full hypervisor simulations (every registry
+* **sim events/sec** — full hypervisor simulations (every registry
   scheduler over deterministic generated sequences), counting the
-  events the engine actually processed. Both run the same sequences,
-  so the pair doubles as a coarse mode-overhead comparison.
+  events the engine actually processed. Older entries also carry
+  ``sim_metrics_events_per_sec``, the rate of a since-retired rowless
+  run mode; the guard no longer reads it.
 
 Standalone usage::
 
@@ -36,10 +36,10 @@ The guard compares *rates*, not totals. Per-run fixed costs make the
 rate scale-sensitive, so CI guards at the same (default) scale the
 committed baseline was recorded at; the 30% tolerance absorbs
 machine-to-machine noise while still catching the order-of-magnitude
-regressions the optimization work targets. Every rate key the baseline
-entry carries is guarded; keys the baseline predates (schema 1 entries
-lack the metrics-mode and phase-split rates) are skipped, so the guard
-works against both old and new baselines.
+regressions the optimization work targets. Every guarded rate key the
+baseline entry carries is held; keys the baseline predates (schema 1
+entries lack the phase-split rates) are skipped, so the guard works
+against both old and new baselines.
 """
 
 from __future__ import annotations
@@ -70,18 +70,18 @@ GUARD_TOLERANCE = 0.30
 #: from schema 2 on.
 GUARD_KEYS = (
     "sim_events_per_sec",
-    "sim_metrics_events_per_sec",
     "engine_fire_events_per_sec",
 )
 
-#: Scale of the service-tier guard proxy: a metrics-mode service run
-#: small enough for CI but long enough to reach replay steady state.
+#: Scale of the service-tier guard proxy: a service run small enough
+#: for CI but long enough to reach replay steady state. The committed
+#: proxy baseline was recorded in the retired rowless run mode; engine
+#: event counts do not depend on it, so its rate is held unchanged.
 #: Guarded only when the committed ``service_history`` carries a
 #: schema-3 entry recorded at exactly this scale (older baselines are
 #: skipped, keeping --guard backward-compatible).
 SERVICE_GUARD_SUBMISSIONS = 20_000
 SERVICE_GUARD_RATE_PER_S = 4.0
-SERVICE_GUARD_MODE = "metrics"
 
 #: Rate keys guarded in the matching service_history baseline entry.
 SERVICE_GUARD_KEYS = ("engine_events_per_sec",)
@@ -93,7 +93,6 @@ def _service_guard_baseline(trajectory: Dict) -> Dict:
         scale = entry.get("scale", {})
         if (
             entry.get("schema", 0) >= 3
-            and entry.get("mode") == SERVICE_GUARD_MODE
             and scale.get("submissions") == SERVICE_GUARD_SUBMISSIONS
             and scale.get("rate_per_s") == SERVICE_GUARD_RATE_PER_S
         ):
@@ -216,14 +215,11 @@ def _sequences(num_sequences: int, num_events: int) -> List:
 
 
 def sim_throughput(
-    num_sequences: int, num_events: int, mode: str = "full"
+    num_sequences: int, num_events: int
 ) -> Tuple[float, int, float]:
     """Full-simulation throughput over every registry scheduler.
 
     Returns ``(events_per_sec, total_engine_events, wall_seconds)``.
-    The two run modes process identical event counts (pinned by
-    ``tests/test_mode_equivalence.py``), so their rates compare the
-    per-event trace cost directly.
     """
     sequences = _sequences(num_sequences, num_events)
     requests = [seq.to_requests() for seq in sequences]
@@ -231,7 +227,7 @@ def sim_throughput(
     start = time.perf_counter()
     for name in ALL_SCHEDULERS:
         for reqs in requests:
-            hv = Hypervisor(make_scheduler(name), mode=mode)
+            hv = Hypervisor(make_scheduler(name))
             for request in reqs:
                 hv.submit(request)
             hv.run()
@@ -245,14 +241,7 @@ def measure(num_sequences: int, num_events: int) -> Dict:
     engine_rates = engine_storm()
     queue_stats = queue_scaling()
     sim_rate, sim_events, sim_wall = sim_throughput(
-        num_sequences, num_events, mode="full"
-    )
-    metrics_rate, metrics_events, metrics_wall = sim_throughput(
-        num_sequences, num_events, mode="metrics"
-    )
-    assert metrics_events == sim_events, (
-        f"mode drift: full processed {sim_events} events, "
-        f"metrics processed {metrics_events}"
+        num_sequences, num_events
     )
     return {
         "schema": 2,
@@ -266,10 +255,8 @@ def measure(num_sequences: int, num_events: int) -> Dict:
         "cpu_count": os.cpu_count(),
         **engine_rates,
         "sim_events_per_sec": round(sim_rate),
-        "sim_metrics_events_per_sec": round(metrics_rate),
         "sim_events": sim_events,
         "sim_wall_s": round(sim_wall, 3),
-        "sim_metrics_wall_s": round(metrics_wall, 3),
     }
 
 
@@ -290,11 +277,6 @@ def print_measurement(entry: Dict) -> None:
     print(
         f"full sim:        {entry['sim_events_per_sec']:>10,} events/sec "
         f"({entry['sim_events']:,} events in {entry['sim_wall_s']}s)"
-    )
-    print(
-        f"metrics sim:     {entry['sim_metrics_events_per_sec']:>10,} "
-        f"events/sec ({entry['sim_events']:,} events in "
-        f"{entry['sim_metrics_wall_s']}s)"
     )
     print(
         f"queue remove:    {entry['queue_remove_ns_large']:>10,.0f} ns/op "
@@ -381,7 +363,6 @@ def _guard(num_sequences: int, num_events: int, baseline_path: Path) -> int:
     service_entry = bench_service.measure(
         SERVICE_GUARD_SUBMISSIONS,
         rate_per_s=SERVICE_GUARD_RATE_PER_S,
-        mode=SERVICE_GUARD_MODE,
     )
     print()
     bench_service.print_measurement(service_entry)

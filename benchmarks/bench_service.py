@@ -65,7 +65,6 @@ def run_service(
     scheduler: str = "nimblock",
     admission: str = "shed",
     seed: int = 1,
-    mode: str = "full",
     disable_gc: bool = False,
     replay: bool = True,
 ):
@@ -86,7 +85,6 @@ def run_service(
         seed=seed,
         max_submissions=submissions,
         window_ms=window_ms,
-        mode=mode,
         replay=replay,
     )
     if not disable_gc:
@@ -112,20 +110,17 @@ def _check_shapes(report, submissions: int) -> None:
 def measure(
     submissions: int,
     rate_per_s: float = DRILL_RATE_PER_S,
-    mode: str = "full",
     replay: bool = True,
 ) -> Dict:
     """One full measurement: throughput rates plus peak RSS."""
     report = run_service(
-        submissions, rate_per_s=rate_per_s, mode=mode, disable_gc=True,
-        replay=replay,
+        submissions, rate_per_s=rate_per_s, disable_gc=True, replay=replay,
     )
     _check_shapes(report, submissions)
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     attempts = report.replay_hits + report.replay_misses
     return {
         "schema": 3,
-        "mode": mode,
         "replay": replay,
         "replay_hits": report.replay_hits,
         "replay_misses": report.replay_misses,
@@ -156,7 +151,7 @@ def print_measurement(entry: Dict) -> None:
     print(
         f"service bench: {scale['submissions']:,} submissions at "
         f"{scale['rate_per_s']:g}/s ({scale['scheduler']}, "
-        f"{scale['admission']}, mode={entry.get('mode', 'full')})"
+        f"{scale['admission']})"
     )
     if entry.get("schema", 2) >= 3:
         print(
@@ -192,8 +187,8 @@ def test_service_throughput(benchmark):
 
 
 # -- standalone modes -------------------------------------------------------
-def _bench(submissions: int, out: Path, mode: str = "full") -> int:
-    entry = measure(submissions, mode=mode)
+def _bench(submissions: int, out: Path) -> int:
+    entry = measure(submissions)
     print_measurement(entry)
     entry = {
         "recorded": datetime.datetime.now(datetime.timezone.utc).isoformat(
@@ -266,19 +261,13 @@ def main(argv=None) -> int:
         "--bench-out", default=str(DEFAULT_BENCH_PATH),
         help="trajectory file (default: repo-root BENCH_core.json)",
     )
-    parser.add_argument(
-        "--mode", choices=("full", "metrics"), default="full",
-        help="run mode: full records trace rows, metrics streams "
-             "counters only (the fast path)",
-    )
     args = parser.parse_args(argv)
 
     if args.fast:
         return _fast_smoke()
     if args.bench:
-        return _bench(DRILL_SUBMISSIONS, Path(args.bench_out),
-                      mode=args.mode)
-    entry = measure(args.submissions, mode=args.mode)
+        return _bench(DRILL_SUBMISSIONS, Path(args.bench_out))
+    entry = measure(args.submissions)
     print_measurement(entry)
     return 0
 

@@ -48,7 +48,6 @@ def remediate_board(
     fault_config,
     admission_policy: Optional[str],
     seed: int,
-    mode: str,
     window_ms: float = DEFAULT_WINDOW_MS,
 ) -> dict:
     """One board's closed-loop pass; returns the payload to merge."""
@@ -138,7 +137,7 @@ def remediate_board(
     # nothing, and byte-identity does not depend on it).
     patched_payload, _, _ = _board_run(
         payload["board"], profile, patched.scheduler, base_config, specs,
-        None, patched.admission_policy(), seed, mode, False,
+        None, patched.admission_policy(), seed, False,
         watchdog_config=patched.watchdog_config(),
     )
     patched_payload["autotune"] = decision

@@ -227,10 +227,6 @@ def replay_episode(
         watchdog=None if watchdog_config is None
         else Watchdog(watchdog_config),
         observer=InvariantChecker() if invariants else None,
-        # Full mode: on a violation the checker dumps the offending
-        # trace window, which a rowless metrics trace cannot serve.
-        # Episodes are small, so the row cost is negligible.
-        mode="full",
     )
     invariant = None
     try:

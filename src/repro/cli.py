@@ -92,14 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--mode", choices=("full", "metrics"), default="full",
-        help=(
-            "run mode: 'full' records trace rows for debugging/export; "
-            "'metrics' folds events straight into counters and sketches "
-            "— same numbers, fastest path (default: full)"
-        ),
-    )
-    parser.add_argument(
         "--no-replay", action="store_true",
         help=(
             "disable the steady-state macro-event replay cache in the "
@@ -344,7 +336,6 @@ def _run_serve(args: argparse.Namespace, settings: ExperimentSettings) -> int:
         admission=args.admission or "shed",
         seed=args.seed,
         jobs=args.jobs,
-        mode=args.mode,
         replay=not args.no_replay,
     ))
     wall_s = time.perf_counter() - started
@@ -385,7 +376,6 @@ def _run_cluster(
         fault_scenario=args.scenario,
         jobs=args.jobs,
         as_json=args.json,
-        mode=args.mode,
         replay=not args.no_replay,
     ), end="")
     return EXIT_OK
@@ -419,7 +409,6 @@ def _run_tune(args: argparse.Namespace, settings: ExperimentSettings) -> int:
         window_ms=window_s * 1000.0,
         jobs=args.jobs,
         as_json=args.json,
-        mode=args.mode,
     ), end="")
     print(
         f"tune: 2 runs x {submissions} submissions in "
@@ -526,7 +515,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         for name in names:
             result = get_experiment(name).run(
-                settings, cache=cache, jobs=args.jobs, mode=args.mode
+                settings, cache=cache, jobs=args.jobs
             )
             print(result.text)
             print()

@@ -476,13 +476,13 @@ class Cluster:
     # Simulation
     # ------------------------------------------------------------------
     def board_tasks(
-        self, mode: str = "full", replay: bool = True, autotune=None
+        self, replay: bool = True, autotune=None
     ) -> List[BoardTask]:
         """The picklable per-board simulation inputs, one per board.
 
         ``autotune`` (an :class:`~repro.autotune.engine.AutotuneConfig`,
         or None) arms the per-board remediation pipeline; tasks stay
-        10-tuples when it is None so un-tuned pickles are unchanged.
+        9-tuples when it is None so un-tuned pickles are unchanged.
         """
         tasks: List[BoardTask] = []
         for board in self._boards:
@@ -502,7 +502,6 @@ class Cluster:
                 if not board.failed else None,
                 self._board_admission,
                 self._seed + board.index,
-                mode,
                 replay,
             )
             if autotune is not None:
@@ -511,15 +510,11 @@ class Cluster:
         return tasks
 
     def run(
-        self, jobs: Optional[int] = None, mode: str = "full",
-        replay: bool = True, autotune=None,
+        self, jobs: Optional[int] = None, replay: bool = True, autotune=None,
     ) -> "ClusterReport":
         """Simulate every board (sharded over ``jobs`` processes) and
         merge the per-board payloads into one :class:`ClusterReport`.
 
-        ``mode="metrics"`` runs each board without trace rows: counters,
-        sketches and busy-time sums stay exact, but the per-board
-        ``trace_digest`` fields are ``None`` (nothing to hash).
         ``replay=False`` disables the per-board macro-event replay cache
         (the report is byte-identical either way; the knob exists for
         A/B verification). ``autotune`` arms the per-board closed-loop
@@ -527,12 +522,7 @@ class Cluster:
         decision record, and boards whose verified winner beats the
         baseline are re-run under the patched configuration.
         """
-        from repro.modes import normalize_mode
-
-        mode = normalize_mode(mode)
-        payloads = board_cells(
-            self.board_tasks(mode, replay, autotune), jobs=jobs
-        )
+        payloads = board_cells(self.board_tasks(replay, autotune), jobs=jobs)
         return ClusterReport(
             boards=payloads,
             placement=self._placement.name,

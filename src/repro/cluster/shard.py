@@ -41,12 +41,11 @@ from repro.workload.events import EventSpec
 #: One board's simulation input: (board index, profile, scheduler name,
 #: fleet-wide base config or None, placed event specs in arrival order,
 #: per-board fault config or None, per-board admission policy name or
-#: None, per-board seed, run mode, replay-cache enable). Everything is a
-#: primitive or a frozen dataclass of primitives, hence picklable. The
-#: trailing replay flag is optional — 9-tuples from older callers run
-#: with the replay cache enabled (the default is byte-identical to a
-#: replay-off run, so the flag only exists for A/B verification). An
-#: optional 11th leg carries an
+#: None, per-board seed, replay-cache enable). Everything is a primitive
+#: or a frozen dataclass of primitives, hence picklable. The trailing
+#: replay flag is optional — 8-tuples run with the replay cache enabled
+#: (the default is byte-identical to a replay-off run, so the flag only
+#: exists for A/B verification). An optional 10th leg carries an
 #: :class:`~repro.autotune.engine.AutotuneConfig` (or None): when armed,
 #: the worker runs the board-level remediation pipeline after the
 #: baseline simulation and the payload gains an ``"autotune"`` decision
@@ -54,8 +53,7 @@ from repro.workload.events import EventSpec
 #: pins) are unchanged.
 BoardTask = Tuple[
     int, BoardProfile, str, Optional[SystemConfig],
-    Tuple[EventSpec, ...], Optional[FaultConfig], Optional[str], int, str,
-    bool,
+    Tuple[EventSpec, ...], Optional[FaultConfig], Optional[str], int, bool,
 ]
 
 
@@ -92,9 +90,7 @@ def board_label(board_index: int) -> str:
     return f"board{board_index}"
 
 
-def _empty_payload(
-    board_index: int, profile: BoardProfile, mode: str = "full"
-) -> dict:
+def _empty_payload(board_index: int, profile: BoardProfile) -> dict:
     """Payload for a board that was placed no work at all."""
     from repro.service.sketch import QuantileSketch
 
@@ -114,10 +110,7 @@ def _empty_payload(
         "energy_j": 0.0,
         "faults": _fault_payload(None),
         "trace_events": 0,
-        "trace_digest": (
-            trace_digest(Trace(), board_label(board_index))
-            if mode == "full" else None
-        ),
+        "trace_digest": trace_digest(Trace(), board_label(board_index)),
     }
 
 
@@ -152,14 +145,14 @@ def simulate_board(task: BoardTask) -> dict:
     the trace digest.
     """
     (board_index, profile, scheduler_name, base_config, specs,
-     fault_config, admission_policy, seed, mode) = task[:9]
-    replay = task[9] if len(task) > 9 else True
-    autotune = task[10] if len(task) > 10 else None
+     fault_config, admission_policy, seed) = task[:8]
+    replay = task[8] if len(task) > 8 else True
+    autotune = task[9] if len(task) > 9 else None
     if not specs:
-        return _empty_payload(board_index, profile, mode)
+        return _empty_payload(board_index, profile)
     payload, hypervisor, controller = _board_run(
         board_index, profile, scheduler_name, base_config, specs,
-        fault_config, admission_policy, seed, mode, replay,
+        fault_config, admission_policy, seed, replay,
     )
     if autotune is None:
         return payload
@@ -178,7 +171,6 @@ def simulate_board(task: BoardTask) -> dict:
         fault_config=fault_config,
         admission_policy=admission_policy,
         seed=seed,
-        mode=mode,
     )
 
 
@@ -191,7 +183,6 @@ def _board_run(
     fault_config: Optional[FaultConfig],
     admission_policy,
     seed: int,
-    mode: str,
     replay: bool,
     watchdog_config="auto",
 ) -> tuple:
@@ -229,7 +220,6 @@ def _board_run(
         faults=injector,
         admission=controller,
         watchdog=watchdog,
-        mode=mode,
     )
     if replay:
         # Replay is a no-op on fault-injected boards (the gate rejects
@@ -296,12 +286,7 @@ def _board_run(
         "energy_j": energy_j,
         "faults": _fault_payload(hypervisor.fault_stats),
         "trace_events": len(trace),
-        # Digests hash trace rows, which metrics mode never records; the
-        # counters above stay exact either way.
-        "trace_digest": (
-            trace_digest(trace, board_label(board_index))
-            if mode == "full" else None
-        ),
+        "trace_digest": trace_digest(trace, board_label(board_index)),
     }
     return payload, hypervisor, controller
 

@@ -91,7 +91,6 @@ def run(
     cache=None,
     *,
     jobs: Optional[int] = None,
-    mode: str = "full",
     rows: Sequence[Tuple[str, str, bool]] = AUTOTUNE_ROWS,
     phases: Sequence[Tuple[float, float]] = EPISODE_PHASES,
     submissions: Optional[int] = None,
@@ -118,7 +117,7 @@ def run(
     autotune = AutotuneConfig().with_slo(slo)
     tasks = [
         (AUTOTUNE_SCHEDULER, policy, EPISODE_RATE_PER_S, 0.0, seed,
-         per_cell, window_ms, mode, True,
+         per_cell, window_ms, True,
          autotune if armed else None, arrival_spec)
         for _, policy, armed in rows
     ]

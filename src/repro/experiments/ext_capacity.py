@@ -61,7 +61,6 @@ def run(
     cache=None,  # per-slot-count configs cannot share the default cache
     *,
     jobs: Optional[int] = None,
-    mode: str = "full",
     scheduler: str = "nimblock",
     slot_counts: Sequence[int] = DEFAULT_SLOT_COUNTS,
 ) -> CapacityResult:
@@ -76,7 +75,7 @@ def run(
     # One task per (slot count, sequence) cell; each cell carries its own
     # platform config, reconstructed worker-side.
     tasks = [
-        (scheduler, sequence, SystemConfig(num_slots=slots), mode)
+        (scheduler, sequence, SystemConfig(num_slots=slots))
         for slots in slot_counts
         for sequence in sequences
     ]

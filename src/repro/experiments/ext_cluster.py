@@ -85,7 +85,6 @@ def run(
     cache: Optional[RunCache] = None,
     *,
     jobs: Optional[int] = None,
-    mode: str = "full",
     scheduler: str = "nimblock",
     placements: Sequence[str] = PLACEMENT_POLICIES,
     fleet_sizes: Sequence[int] = FLEET_SIZES,

@@ -59,7 +59,6 @@ def run(
     cache=None,  # accepted for harness uniformity; config varies per cell
     *,
     jobs: Optional[int] = None,
-    mode: str = "full",
     error_levels: Sequence[float] = ERROR_LEVELS,
     schedulers: Sequence[str] = STUDIED,
 ) -> EstimateSensitivityResult:
@@ -78,7 +77,7 @@ def run(
         config = SystemConfig(hls_estimation_error=error)
         for name in ("baseline", *schedulers):
             for sequence in sequences:
-                tasks.append((name, sequence, config, mode))
+                tasks.append((name, sequence, config))
     runs = iter(
         parallel.map_runs(tasks, jobs=parallel.resolve_jobs(jobs, cache))
     )

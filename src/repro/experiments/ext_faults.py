@@ -109,7 +109,6 @@ def run(
     cache: Optional[RunCache] = None,
     *,
     jobs: Optional[int] = None,
-    mode: str = "full",
     scenario: ChaosScenario = MIXED_FAULTS,
     workload: Scenario = STRESS,
     fault_rates: Sequence[float] = DEFAULT_FAULT_RATES,

@@ -53,7 +53,6 @@ def run(
     cache=None,  # harness uniformity
     *,
     jobs=None,
-    mode: str = "full",
     scheduler: str = "nimblock",
 ) -> HeteroResult:
     """Run the arrival stream on each fleet definition."""

@@ -58,7 +58,6 @@ def run(
     cache=None,  # accepted for harness uniformity; runs are not cacheable
     *,
     jobs=None,
-    mode: str = "full",
     scheduler: str = "nimblock",
 ) -> InterconnectResult:
     """Run the same stimuli under each interconnect model."""

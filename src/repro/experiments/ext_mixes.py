@@ -59,12 +59,11 @@ def run(
     cache: Optional[RunCache] = None,
     *,
     jobs: Optional[int] = None,
-    mode: str = "full",
     mixes: Sequence[str] = MIX_NAMES,
     schedulers: Sequence[str] = COMPARED,
 ) -> MixResult:
     """Run every mix under the baseline plus each compared scheduler."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache(jobs=jobs)
     settings = settings or ExperimentSettings.from_env()
     per_mix = {
         mix: [

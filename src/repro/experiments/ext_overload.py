@@ -173,7 +173,6 @@ def run(
     cache: Optional[RunCache] = None,
     *,
     jobs: Optional[int] = None,
-    mode: str = "full",
     workload: Scenario = OVERLOAD_WORKLOAD,
     scheduler: str = "fcfs",
     rate_multipliers: Sequence[float] = DEFAULT_RATE_MULTIPLIERS,

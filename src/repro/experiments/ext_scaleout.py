@@ -61,7 +61,6 @@ def run(
     cache=None,  # accepted for harness uniformity
     *,
     jobs=None,
-    mode: str = "full",
     scheduler: str = "nimblock",
     fleet_sizes: Tuple[int, ...] = FLEET_SIZES,
 ) -> ScaleOutResult:

@@ -63,12 +63,11 @@ def run(
     cache: Optional[RunCache] = None,
     *,
     jobs: Optional[int] = None,
-    mode: str = "full",
     scenarios: Sequence[Scenario] = SCENARIOS,
     schedulers: Sequence[str] = COMPARED,
 ) -> SchedulerStudyResult:
     """Run the extended scheduler set over all three scenarios."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache(jobs=jobs)
     settings = settings or ExperimentSettings.from_env()
     priorities = (1, 3, 9)
     per_scenario = {

@@ -83,12 +83,11 @@ def run(
     cache: Optional[RunCache] = None,
     *,
     jobs: Optional[int] = None,
-    mode: str = "full",
     blocks: int = DEFAULT_BLOCKS,
     schedulers: Tuple[str, ...] = STUDIED,
 ) -> SeedStudyResult:
     """Replicate the stress experiment over disjoint seed blocks."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache(jobs=jobs)
     settings = settings or ExperimentSettings.from_env()
     per_block_count = max(1, settings.num_sequences // 2)
     per_block = {}

@@ -85,7 +85,6 @@ def run(
     cache=None,
     *,
     jobs: Optional[int] = None,
-    mode: str = "full",
     schedulers: Sequence[str] = CAPACITY_SCHEDULERS,
     policies: Sequence[str] = CAPACITY_POLICIES,
     rates: Sequence[float] = CAPACITY_RATES,
@@ -118,7 +117,7 @@ def run(
             for policy in policies:
                 tasks.append(
                     (scheduler, policy, rate, 0.0, seed, per_cell,
-                     window_ms, mode)
+                     window_ms)
                 )
     jobs = jobs if jobs is not None else getattr(cache, "jobs", None)
     payloads = service_cells(tasks, jobs=jobs)
@@ -205,7 +204,6 @@ def serve_report(
     admission: str = "shed",
     seed: int = 1,
     jobs: Optional[int] = None,
-    mode: str = "full",
     replay: bool = True,
 ) -> str:
     """The one-shot ``nimblock-repro serve`` drill.
@@ -217,7 +215,7 @@ def serve_report(
     """
     tasks: List[ServiceTask] = [
         (scheduler, admission, rate, burstiness, seed, submissions,
-         window_ms, mode, replay)
+         window_ms, replay)
         for scheduler in schedulers
     ]
     payloads = service_cells(tasks, jobs=jobs)

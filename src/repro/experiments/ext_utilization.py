@@ -53,7 +53,6 @@ def run(
     cache=None,  # traces are needed, so runs are not shareable
     *,
     jobs=None,
-    mode: str = "full",
     schedulers: Sequence[str] = ALL_SCHEDULERS,
 ) -> UtilizationResult:
     """Measure slot-time shares for every scheduler on the same stimuli."""

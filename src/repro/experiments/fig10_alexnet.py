@@ -45,12 +45,11 @@ def run(
     cache: Optional[RunCache] = None,
     *,
     jobs: Optional[int] = None,
-    mode: str = "full",
     batch_sizes: Sequence[int] = ABLATION_BATCH_SIZES,
     variants: Sequence[str] = ABLATION_NAMES,
 ) -> Fig10Result:
     """Collect AlexNet responses from the ablation runs."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache(jobs=jobs)
     settings = settings or ExperimentSettings.from_env()
     per_batch = {
         batch_size: _ablation_sequences(settings, batch_size)

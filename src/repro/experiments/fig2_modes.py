@@ -53,7 +53,7 @@ def _demo_requests() -> List[AppRequest]:
     ]
 
 
-def run(settings=None, cache=None, *, jobs=None, mode="full") -> Fig2Result:
+def run(settings=None, cache=None, *, jobs=None) -> Fig2Result:
     """Execute the demo workload under each sharing mode.
 
     Uniform experiment signature; the fixed two-app demo ignores

@@ -40,7 +40,6 @@ def run(
     cache=None,
     *,
     jobs=None,
-    mode: str = "full",
     benchmark: str = "alexnet",
 ) -> Fig4Result:
     """Summarize one benchmark's task graph (AlexNet by default).

@@ -48,12 +48,11 @@ def run(
     cache: Optional[RunCache] = None,
     *,
     jobs: Optional[int] = None,
-    mode: str = "full",
     scenarios: Sequence[Scenario] = SCENARIOS,
     schedulers: Sequence[str] = SHARING_SCHEDULERS,
 ) -> Fig5Result:
     """Execute (or reuse) all runs and compute the Figure 5 matrix."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache(jobs=jobs)
     settings = settings or ExperimentSettings.from_env()
     per_scenario = {
         scenario.name: [

@@ -49,12 +49,11 @@ def run(
     cache: Optional[RunCache] = None,
     *,
     jobs: Optional[int] = None,
-    mode: str = "full",
     scenarios: Sequence[Scenario] = SCENARIOS,
     schedulers: Sequence[str] = SHARING_SCHEDULERS,
 ) -> Fig6Result:
     """Compute the Figure 6 tail matrix (reusing Figure 5's runs)."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache(jobs=jobs)
     settings = settings or ExperimentSettings.from_env()
     per_scenario = {
         scenario.name: [

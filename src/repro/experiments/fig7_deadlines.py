@@ -65,14 +65,13 @@ def run(
     cache: Optional[RunCache] = None,
     *,
     jobs: Optional[int] = None,
-    mode: str = "full",
     scenarios: Sequence[Scenario] = SCENARIOS,
     schedulers: Sequence[str] = ALL_SCHEDULERS,
     priority: Optional[int] = ANALYZED_PRIORITY,
     ds_values: Sequence[float] = DEFAULT_DS_VALUES,
 ) -> Fig7Result:
     """Sweep deadline scaling factors over the scenario runs."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache(jobs=jobs)
     settings = settings or ExperimentSettings.from_env()
     per_scenario = {
         scenario.name: [

@@ -39,11 +39,10 @@ def run(
     cache: Optional[RunCache] = None,
     *,
     jobs: Optional[int] = None,
-    mode: str = "full",
     scheduler: str = "nimblock",
 ) -> Fig8Result:
     """Break down application time under one scheduler (standard test)."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache(jobs=jobs)
     settings = settings or ExperimentSettings.from_env()
     sequences = [
         scenario_sequence(STANDARD, seed, settings.num_events)

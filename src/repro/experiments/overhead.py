@@ -92,14 +92,13 @@ def run(
     cache=None,
     *,
     jobs=None,
-    mode: str = "full",
     num_apps: int = 12,
     iterations: int = 200,
 ) -> OverheadResult:
     """Measure both costs and report the gap.
 
     Uniform experiment signature; the micro-benchmark ignores
-    ``settings``, ``cache``, ``jobs`` and ``mode``.
+    ``settings``, ``cache`` and ``jobs``.
     """
     decision = measure_decision_cost(num_apps, iterations)
     solve_s, nodes = measure_exact_solve_cost()

@@ -38,11 +38,8 @@ from repro.workload.events import EventSequence
 _Task = TypeVar("_Task")
 _Result = TypeVar("_Result")
 
-#: A plain simulation task: (scheduler name, stimulus, platform config,
-#: run mode). Chaos/overload/observed tasks have no mode leg: their
-#: workers reduce *trace rows* to scalars, which only mode="full"
-#: records.
-RunTask = Tuple[str, EventSequence, Optional[SystemConfig], str]
+#: A plain simulation task: (scheduler name, stimulus, platform config).
+RunTask = Tuple[str, EventSequence, Optional[SystemConfig]]
 
 #: A chaos task: (scheduler, stimulus, fault config, platform config).
 ChaosTask = Tuple[
@@ -70,8 +67,8 @@ def resolve_jobs(jobs: Optional[int], cache=None) -> int:
 
 def _simulate(task: RunTask) -> List[AppResult]:
     """Worker: one plain simulation run (top-level for pickling)."""
-    scheduler_name, sequence, config, mode = task
-    return run_sequence(scheduler_name, sequence, config, mode)
+    scheduler_name, sequence, config = task
+    return run_sequence(scheduler_name, sequence, config)
 
 
 @dataclass(frozen=True)
@@ -255,19 +252,18 @@ def observed_snapshots(
 
 
 #: A service task: (scheduler, admission policy name, arrival rate /s,
-#: burstiness, seed, max submissions, window ms, run mode). The arrival
-#: process, controller and watchdog are all rebuilt inside the worker
-#: from these picklable scalars — identical reconstruction to the serial
-#: path, so the returned report payloads are byte-identical at any jobs
-#: count (and, since the payload carries no rows, at either run mode).
-#: Trailing legs are optional (8-tuples from older callers still work):
-#: [8] replay flag (default True — byte-identical either way); [9] an
+#: burstiness, seed, max submissions, window ms). The arrival process,
+#: controller and watchdog are all rebuilt inside the worker from these
+#: picklable scalars — identical reconstruction to the serial path, so
+#: the returned report payloads are byte-identical at any jobs count.
+#: Trailing legs are optional (7-tuples work): [7] replay flag (default
+#: True — byte-identical either way); [8] an
 #: :class:`~repro.autotune.engine.AutotuneConfig` (frozen, picklable) or
-#: None; [10] an arrival-process override as a picklable ``(kind,
+#: None; [9] an arrival-process override as a picklable ``(kind,
 #: knob-pairs)`` tuple — e.g. ``("episode", (("phases", ((60.0, 1.0),
 #: (120.0, 4.0))),))`` — replacing the default rate/burstiness process
 #: (whose two scalars are then ignored).
-ServiceTask = Tuple[str, str, float, float, int, int, float, str, bool]
+ServiceTask = Tuple[str, str, float, float, int, int, float, bool]
 
 
 def _simulate_service(task: ServiceTask) -> dict:
@@ -282,10 +278,10 @@ def _simulate_service(task: ServiceTask) -> dict:
     from repro.workload.arrivals import make_arrivals, service_rate_process
 
     (scheduler, admission, rate, burstiness, seed, submissions,
-     window_ms, mode) = task[:8]
-    replay = task[8] if len(task) > 8 else True
-    autotune = task[9] if len(task) > 9 else None
-    arrival_spec = task[10] if len(task) > 10 else None
+     window_ms) = task[:7]
+    replay = task[7] if len(task) > 7 else True
+    autotune = task[8] if len(task) > 8 else None
+    arrival_spec = task[9] if len(task) > 9 else None
     if arrival_spec is None:
         arrivals = service_rate_process(
             rate, seed=seed, burstiness=burstiness
@@ -300,7 +296,6 @@ def _simulate_service(task: ServiceTask) -> dict:
         seed=seed,
         max_submissions=submissions,
         window_ms=window_ms,
-        mode=mode,
         replay=replay,
         autotune=autotune,
     )

@@ -6,10 +6,10 @@ Historically each ``fig*`` / ``table*`` / ``ext_*`` module grew its own
 declared, uniform contract:
 
 * every experiment module exposes
-  ``run(settings=None, cache=None, *, jobs=None, mode="full", ...) ->
-  <module result>`` and ``format_result(result) -> str``;
+  ``run(settings=None, cache=None, *, jobs=None, ...) -> <module
+  result>`` and ``format_result(result) -> str``;
 * the registry wraps each module in an :class:`Experiment` whose
-  ``run(settings, *, cache=None, jobs=None, mode="full")`` returns an
+  ``run(settings, *, cache=None, jobs=None)`` returns an
   :class:`ExperimentResult` (name + raw value + rendered text);
 * dispatch — CLI, benchmarks, notebooks — goes through
   :func:`get_experiment` / :func:`run_experiment` and never special-cases
@@ -52,7 +52,6 @@ class ExperimentLike(Protocol):
         *,
         cache: Optional[RunCache] = None,
         jobs: Optional[int] = None,
-        mode: str = "full",
     ) -> ExperimentResult:
         """Execute the experiment and return its uniform result."""
         ...  # pragma: no cover - protocol
@@ -88,22 +87,19 @@ class Experiment:
         *,
         cache: Optional[RunCache] = None,
         jobs: Optional[int] = None,
-        mode: str = "full",
     ) -> ExperimentResult:
         """Uniform entry point: execute, render, wrap.
 
         ``settings`` defaults to :meth:`ExperimentSettings.from_env`;
         ``cache`` defaults to a fresh memory-only :class:`RunCache`
-        carrying ``jobs`` as its fan-out width and ``mode`` as its run
-        mode (results are mode-independent; ``mode="metrics"`` only
-        skips trace-row recording).
+        carrying ``jobs`` as its fan-out width.
         """
         module = self.module()
         if settings is None:
             settings = ExperimentSettings.from_env()
         if cache is None:
-            cache = RunCache(jobs=jobs, mode=mode)
-        value = module.run(settings, cache, jobs=jobs, mode=mode)
+            cache = RunCache(jobs=jobs)
+        value = module.run(settings, cache, jobs=jobs)
         return ExperimentResult(
             name=self.name, value=value,
             text=module.format_result(value), title=self.title,
@@ -176,9 +172,6 @@ def run_experiment(
     *,
     cache: Optional[RunCache] = None,
     jobs: Optional[int] = None,
-    mode: str = "full",
 ) -> ExperimentResult:
     """One-call uniform dispatch: look up, run, wrap."""
-    return get_experiment(name).run(
-        settings, cache=cache, jobs=jobs, mode=mode
-    )
+    return get_experiment(name).run(settings, cache=cache, jobs=jobs)

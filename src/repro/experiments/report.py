@@ -372,10 +372,9 @@ def generate_findings(
     cache: Optional[RunCache] = None,
     settings: Optional[ExperimentSettings] = None,
     jobs=None,
-    mode: str = "full",
 ) -> List[Finding]:
     """Run every experiment and compare against the paper's claims."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache(jobs=jobs)
     settings = settings or ExperimentSettings.from_env()
     _prewarm_shared_runs(cache, settings, jobs=jobs)
     findings: List[Finding] = []
@@ -410,11 +409,9 @@ def format_findings(findings: List[Finding]) -> str:
 
 
 # CLI adapter: `nimblock-repro report`.
-def run(settings=None, cache=None, *, jobs=None, mode="full") -> List[Finding]:
+def run(settings=None, cache=None, *, jobs=None) -> List[Finding]:
     """Experiment-module interface used by the CLI."""
-    return generate_findings(
-        cache=cache, settings=settings, jobs=jobs, mode=mode
-    )
+    return generate_findings(cache=cache, settings=settings, jobs=jobs)
 
 
 def format_result(findings: List[Finding]) -> str:

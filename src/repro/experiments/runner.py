@@ -35,7 +35,6 @@ from repro.config import SystemConfig
 from repro.errors import ExperimentError
 from repro.hypervisor.hypervisor import Hypervisor
 from repro.hypervisor.results import AppResult
-from repro.modes import normalize_mode
 from repro.schedulers.registry import make_scheduler
 from repro.workload.events import EventSequence
 
@@ -93,17 +92,9 @@ def run_sequence(
     scheduler_name: str,
     sequence: EventSequence,
     config: Optional[SystemConfig] = None,
-    mode: str = "full",
 ) -> List[AppResult]:
-    """Run one event sequence under one scheduler to completion.
-
-    ``mode="metrics"`` skips trace-row recording; the returned
-    :class:`AppResult` list is identical in either mode (results are
-    derived from hypervisor state, never from trace rows).
-    """
-    hypervisor = Hypervisor(
-        make_scheduler(scheduler_name), config=config, mode=mode
-    )
+    """Run one event sequence under one scheduler to completion."""
+    hypervisor = Hypervisor(make_scheduler(scheduler_name), config=config)
     for request in sequence.to_requests():
         hypervisor.submit(request)
     hypervisor.run()
@@ -159,17 +150,11 @@ class RunCache:
         config: Optional[SystemConfig] = None,
         cache_dir: Optional[Union[str, Path]] = None,
         jobs: Optional[int] = None,
-        mode: str = "full",
     ) -> None:
         self.config = config or SystemConfig()
         self.cache_dir = Path(cache_dir) if cache_dir else None
         #: Default worker count for :meth:`prewarm` (None = REPRO_JOBS or 1).
         self.jobs = jobs
-        #: Engine run mode for fresh simulations. Deliberately NOT part of
-        #: the disk-cache key: results are mode-independent (pinned by
-        #: ``tests/test_mode_equivalence.py``), so either mode may satisfy
-        #: a lookup recorded by the other.
-        self.mode = normalize_mode(mode)
         self._runs: Dict[Tuple[str, str], List[AppResult]] = {}
         self._label_fingerprints: Dict[str, str] = {}
         self._config_fingerprint = config_fingerprint(self.config)
@@ -272,9 +257,7 @@ class RunCache:
             self.disk_hits += 1
             self._runs[key] = loaded
             return loaded
-        results = run_sequence(
-            scheduler_name, sequence, self.config, self.mode
-        )
+        results = run_sequence(scheduler_name, sequence, self.config)
         self.simulations += 1
         self._runs[key] = results
         self._disk_store(scheduler_name, sequence, results)
@@ -327,8 +310,7 @@ class RunCache:
             return 0
         effective = jobs if jobs is not None else self.jobs
         tasks = [
-            (name, sequence, self.config, self.mode)
-            for _, name, sequence in pending
+            (name, sequence, self.config) for _, name, sequence in pending
         ]
         for (key, name, sequence), results in zip(
             pending, parallel.map_runs(tasks, jobs=effective)

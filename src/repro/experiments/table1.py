@@ -33,7 +33,6 @@ def run(
     cache=None,
     *,
     jobs=None,
-    mode: str = "full",
     num_slots: int = 10,
 ) -> Table1Result:
     """Build the overlay floorplan and report utilization.

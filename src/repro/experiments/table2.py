@@ -38,7 +38,7 @@ class Table2Result:
         )
 
 
-def run(settings=None, cache=None, *, jobs=None, mode="full") -> Table2Result:
+def run(settings=None, cache=None, *, jobs=None) -> Table2Result:
     """Measure every catalog benchmark's task/edge counts.
 
     Uniform experiment signature; a static study, so ``settings``,

@@ -61,11 +61,10 @@ def run(
     cache: Optional[RunCache] = None,
     *,
     jobs: Optional[int] = None,
-    mode: str = "full",
     schedulers: Sequence[str] = ALL_SCHEDULERS,
 ) -> Table3Result:
     """Run the Table 3 workload under every algorithm."""
-    cache = cache or RunCache(jobs=jobs, mode=mode)
+    cache = cache or RunCache(jobs=jobs)
     settings = settings or ExperimentSettings.from_env()
     sequences = [
         fixed_batch_sequence(

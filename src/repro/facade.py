@@ -60,7 +60,6 @@ def simulate(
     config: Optional[SystemConfig] = None,
     faults: Optional[FaultConfig] = None,
     observe: bool = False,
-    mode: str = "full",
 ) -> SimulationRun:
     """Run one workload under one scheduler and return everything.
 
@@ -68,9 +67,6 @@ def simulate(
     workload generation; ``faults`` attaches a seeded fault injector;
     ``observe=True`` attaches :class:`~repro.observe.Instrumentation`
     (never changing simulation behaviour — traces stay byte-identical).
-    ``mode="metrics"`` skips trace rows entirely: counters and observer
-    metrics stay exact, while row-reading accessors (``run.trace.events``,
-    ``run.spans()``) raise :class:`~repro.errors.ExperimentError`.
     """
     from repro.experiments.runner import ExperimentSettings
     from repro.hypervisor.hypervisor import Hypervisor
@@ -102,7 +98,7 @@ def simulate(
 
     hypervisor = Hypervisor(
         make_scheduler(scheduler), config=config,
-        faults=injector, observer=observer, mode=mode,
+        faults=injector, observer=observer,
     )
     for request in sequence.to_requests():
         hypervisor.submit(request)
@@ -128,7 +124,6 @@ def serve(
     config: Optional[SystemConfig] = None,
     snapshot_every_windows: Optional[int] = None,
     watchdog: bool = True,
-    mode: str = "full",
 ):
     """Run one open-loop online service and return its report.
 
@@ -139,8 +134,6 @@ def serve(
     submission count. Returns the
     :class:`~repro.service.loop.ServiceReport` (streaming windowed
     metrics, lifetime counters, any quiescent-boundary snapshots).
-    ``mode="metrics"`` drops the debugging trace ring for the fastest
-    path; the report payload is byte-identical either way.
 
     >>> from repro import serve
     >>> report = serve("nimblock", rate=1.0, submissions=50)
@@ -161,7 +154,6 @@ def serve(
         config=config,
         snapshot_every_windows=snapshot_every_windows,
         watchdog=watchdog,
-        mode=mode,
     )
     return loop.run()
 
@@ -227,7 +219,6 @@ def tune(
     submissions: int = 600,
     window_ms: float = 10_000.0,
     jobs: Optional[int] = None,
-    mode: str = "full",
     autotune=None,
 ) -> dict:
     """The closed-loop remediation drill: static baseline vs autotuned.
@@ -262,8 +253,7 @@ def tune(
     )
     arrival_spec = ("episode", (("phases", phases),))
     base = (
-        scheduler, admission, rate, 0.0, seed, submissions, window_ms,
-        mode, True,
+        scheduler, admission, rate, 0.0, seed, submissions, window_ms, True,
     )
     baseline_payload, tuned_payload = service_cells(
         [base + (None, arrival_spec), base + (autotune, arrival_spec)],
@@ -316,7 +306,6 @@ def tune_report(
     window_ms: float = 10_000.0,
     jobs: Optional[int] = None,
     as_json: bool = False,
-    mode: str = "full",
 ) -> str:
     """The ``repro tune`` drill as deterministic text (or JSON).
 
@@ -337,7 +326,6 @@ def tune_report(
         submissions=submissions,
         window_ms=window_ms,
         jobs=jobs,
-        mode=mode,
     )
     if as_json:
         return json.dumps(payload, sort_keys=True) + "\n"
@@ -401,7 +389,6 @@ def fleet(
     config: Optional[SystemConfig] = None,
     jobs: Optional[int] = None,
     sequence: Optional[EventSequence] = None,
-    mode: str = "full",
     replay: bool = True,
     autotune=None,
 ):
@@ -453,7 +440,7 @@ def fleet(
         seed=seed,
     )
     fleet.submit_sequence(sequence)
-    return fleet.run(jobs=jobs, mode=mode, replay=replay, autotune=autotune)
+    return fleet.run(jobs=jobs, replay=replay, autotune=autotune)
 
 
 def cluster_report(
@@ -470,7 +457,6 @@ def cluster_report(
     fault_scenario: str = "mixed",
     jobs: Optional[int] = None,
     as_json: bool = False,
-    mode: str = "full",
     replay: bool = True,
 ) -> str:
     """The ``repro cluster`` drill as deterministic text.
@@ -495,7 +481,6 @@ def cluster_report(
         fault_rate=fault_rate,
         fault_scenario=fault_scenario,
         jobs=jobs,
-        mode=mode,
         replay=replay,
     )
     if as_json:

@@ -49,9 +49,8 @@ from repro.schedulers.base import (
     PreemptAction,
     SchedulerPolicy,
 )
-from repro.modes import normalize_mode
 from repro.sim.engine import SimulationEngine
-from repro.sim.trace import MetricsTrace, Trace, TraceKind
+from repro.sim.trace import Trace, TraceKind
 
 #: Nominal size of one task-output buffer (per batch item).
 ITEM_BUFFER_BYTES = 256 * 1024
@@ -169,19 +168,14 @@ class Hypervisor:
         observer: Optional[object] = None,
         admission: Optional["AdmissionController"] = None,
         watchdog: Optional["Watchdog"] = None,
-        mode: str = "full",
     ) -> None:
         self.config = config or SystemConfig()
-        #: Run mode ("full" records trace rows; "metrics" folds straight
-        #: into counters). Threaded into the engine so every layer reads
-        #: one source of truth.
-        self.mode = normalize_mode(mode)
-        self.engine = engine or SimulationEngine(mode=self.mode)
+        self.engine = engine or SimulationEngine()
         self.scheduler = scheduler
         self.device = FPGADevice(self.engine, self.config.num_slots)
         self.store = BitstreamStore(self.config.num_slots)
         self.buffers = BufferManager(buffer_capacity_bytes)
-        self.trace = Trace() if self.mode == "full" else MetricsTrace()
+        self.trace = Trace()
         self.pending = PendingQueue()
         self.apps: Dict[int, AppRun] = {}
         self.retired: List[AppRun] = []

@@ -38,7 +38,6 @@ def observed_run(
     fault_config: Optional[FaultConfig] = None,
     config: Optional[SystemConfig] = None,
     profile: bool = False,
-    mode: str = "full",
     admission: Optional[str] = None,
     seed: int = 0,
 ) -> Tuple["Hypervisor", "Instrumentation"]:
@@ -73,7 +72,7 @@ def observed_run(
     hypervisor = Hypervisor(
         make_scheduler(scheduler_name), config=config,
         faults=injector, admission=controller, watchdog=watchdog,
-        observer=observer, mode=mode,
+        observer=observer,
     )
     for request in sequence.to_requests():
         hypervisor.submit(request)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Optional
 
+from repro.errors import ExperimentError
 from repro.observe.metrics import (
     LATENCY_BUCKETS_S,
     MS_BUCKETS,
@@ -127,11 +128,23 @@ def observe_run(
 
     Usable standalone on any completed hypervisor (no live observer
     needed) — every value below is a pure function of the trace stream,
-    the fault counters and the engine's event count, in either run mode
-    (``mode="metrics"`` snapshots equal full-mode folds exactly).
+    the fault counters and the engine's event count.
+
+    The interval histograms need every row of the run, so a
+    :class:`~repro.sim.trace.BoundedTrace` that has dropped rows (a long
+    service run) is refused with :class:`~repro.errors.ExperimentError`
+    rather than folded from its retained tail.
     """
-    registry = registry or MetricsRegistry()
     trace = hypervisor.trace
+    dropped = getattr(trace, "dropped", 0)
+    if dropped:
+        raise ExperimentError(
+            f"cannot fold the run's interval metrics: the bounded trace "
+            f"dropped {dropped} of {trace.total_recorded} rows; raise "
+            f"trace_capacity to at least {trace.total_recorded} to "
+            f"observe this run"
+        )
+    registry = registry or MetricsRegistry()
     config = hypervisor.config
     stats = hypervisor.fault_stats
 
@@ -265,16 +278,10 @@ def observe_run(
     for name, help_text, value in counters:
         registry.counter(name, help_text).inc(float(value))
 
-    # Interval metrics come from the streaming fold shared by both run
-    # modes: a metrics-mode trace carries one fed live by ``record``; a
-    # full-mode trace replays its stored rows through the identical code
-    # in the identical order, so the two snapshots agree bit-for-bit
-    # (including float sums). See repro.sim.fold.
+    # Interval metrics pair start/end rows in one pass over the stored
+    # trace, in record order. See repro.sim.fold.
     horizon = trace.end_ms if len(trace) else 0.0
-    fold = getattr(trace, "fold", None)
-    if fold is None:
-        fold = fold_rows(trace._rows)
-    folded = fold.aggregates(horizon)
+    folded = fold_rows(trace._rows).aggregates(horizon)
 
     registry.histogram(
         "nimblock_dpr_duration_ms",

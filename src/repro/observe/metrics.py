@@ -30,7 +30,7 @@ from repro.errors import ReproError
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 
 #: Default histogram buckets for simulated-millisecond durations.
-#: Canonically defined next to the streaming fold both run modes share.
+#: Canonically defined next to the trace fold in :mod:`repro.sim.fold`.
 from repro.sim.fold import MS_BUCKETS  # noqa: E402
 
 #: Buckets for scheduler token sums observed at selection time.

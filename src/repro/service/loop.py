@@ -48,7 +48,6 @@ from repro.admission.controller import AdmissionController
 from repro.admission.watchdog import Watchdog
 from repro.config import SystemConfig
 from repro.errors import ServiceError
-from repro.modes import normalize_mode
 from repro.schedulers.registry import make_scheduler
 from repro.service.sketch import DEFAULT_ALPHA
 from repro.service.windows import (
@@ -103,13 +102,8 @@ class ServiceReport:
     windows: WindowedMetrics
     snapshots: List[dict] = field(default_factory=list)
     wall_s: float = 0.0
-    #: Run mode the loop executed under. Like ``wall_s`` it is excluded
-    #: from :meth:`to_dict` — the deterministic payload is identical
-    #: across modes (and across ``--jobs``), which is exactly what the
-    #: mode-equivalence CI diff asserts.
-    mode: str = "full"
     #: Macro-event replay cache counters. Excluded from :meth:`to_dict`
-    #: like ``wall_s``/``mode``: replay is a pure execution strategy, so
+    #: like ``wall_s``: replay is a pure execution strategy, so
     #: the deterministic payload must not depend on whether (or how
     #: often) it engaged — that independence is what the replay A/B CI
     #: diff asserts.
@@ -272,7 +266,6 @@ class ServiceLoop:
         trace_capacity: int = DEFAULT_TRACE_CAPACITY,
         snapshot_every_windows: Optional[int] = None,
         observer: Optional[object] = None,
-        mode: str = "full",
         replay: bool = True,
         autotune: Optional[object] = None,
         _resume_state: Optional[dict] = None,
@@ -300,7 +293,6 @@ class ServiceLoop:
         #: Admission knob overrides, kept for the autotuner's baseline
         #: :class:`~repro.autotune.proposals.TunableConfig` capture.
         self.admission_knobs = dict(admission_knobs or {})
-        self.mode = normalize_mode(mode)
         self.seed = seed
         self.max_submissions = max_submissions
         self.horizon_ms = horizon_ms
@@ -321,15 +313,11 @@ class ServiceLoop:
             admission=self.admission,
             watchdog=watchdog,
             observer=observer,
-            mode=self.mode,
         )
-        if self.mode == "full":
-            # Swap the append-only trace for a bounded ring before
-            # anything records into it — lifetime counters stay exact,
-            # rows stay O(1) as a debugging tail.
-            self.hv.trace = BoundedTrace(trace_capacity)
-        # (metrics mode keeps the hypervisor's MetricsTrace: exact
-        # lifetime counters, zero rows — strictly cheaper than the ring.)
+        # Swap the append-only trace for a bounded ring before anything
+        # records into it — lifetime counters stay exact, rows stay O(1)
+        # as a debugging tail.
+        self.hv.trace = BoundedTrace(trace_capacity)
         self.hv.add_retire_listener(self._on_retire)
         self.engine = self.hv.engine
 
@@ -563,9 +551,8 @@ class ServiceLoop:
         # window (the sparse WindowedMetrics never materialises them and
         # no deltas can accrue with no events in between), so jump the
         # close chain straight to the arrival's window. Observable only
-        # as fewer ``windows_closed``/``engine_events`` — identically in
-        # both run modes. Disabled while periodic snapshots are armed,
-        # which count boundaries.
+        # as fewer ``windows_closed``/``engine_events``. Disabled while
+        # periodic snapshots are armed, which count boundaries.
         if (
             self.snapshot_every_windows is None
             and self._next_spec is not None
@@ -673,7 +660,6 @@ class ServiceLoop:
             windows=self.windows,
             snapshots=self.snapshots,
             wall_s=wall_s,
-            mode=self.mode,
             replay_hits=self.replay_hits,
             replay_misses=self.replay_misses,
             autotuned=self._tuner is not None,

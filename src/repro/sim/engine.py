@@ -36,13 +36,6 @@ empty) set of cancelled seqs consulted at pop time, and ``_live`` keeps
 ordering: the merge of the three structures pops in exact
 ``(time, priority, seq)`` order, byte-identical to the heap it
 replaced (pinned by ``tests/test_perf_equivalence.py``).
-
-The engine accepts the run-``mode`` flag (``"full"`` or ``"metrics"``)
-so one ``mode=`` travels the whole stack — facade → hypervisor →
-engine — and components hanging off the engine can consult
-``engine.mode`` to pick their storage strategy. Event ordering and
-timing are identical in both modes by contract; only per-event
-*recording* costs may differ.
 """
 
 from __future__ import annotations
@@ -51,7 +44,6 @@ import heapq
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
-from repro.modes import normalize_mode
 
 #: Signature of a simulation callback; receives the firing time.
 EventCallback = Callable[[float], None]
@@ -115,9 +107,7 @@ class SimulationEngine:
     [5.0]
     """
 
-    def __init__(
-        self, observer: Optional[object] = None, mode: str = "full"
-    ) -> None:
+    def __init__(self, observer: Optional[object] = None) -> None:
         self._now = 0.0
         # Entries are (time, priority, seq, callback, handle) tuples:
         # comparisons stop at the unique seq, never touching the
@@ -137,7 +127,6 @@ class SimulationEngine:
         # Observability hook (repro.observe). None costs one predicate per
         # executed event; the engine never imports the observe package.
         self._observer = observer
-        self.mode = normalize_mode(mode)
 
     def set_observer(self, observer: Optional[object]) -> None:
         """Install (or remove, with None) an observability hook.

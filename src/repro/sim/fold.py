@@ -1,18 +1,11 @@
-"""Streaming span/recovery fold shared by both run modes.
+"""Single-pass span/recovery fold over a run's trace rows.
 
 The observe layer's snapshot (``repro.observe.instrument.observe_run``)
 derives histograms and gauges from *intervals*: reconfiguration spans,
-batch-item spans, preemption waits, fault recoveries. In ``mode="full"``
-those intervals are reconstructed from trace rows; ``mode="metrics"``
-records no rows, so the pairing must happen while events stream past.
-
-:class:`TraceFold` is that pairing, written once and used by **both**
-modes: a metrics-mode trace feeds it live from ``record``, and the
-full-mode fold replays the stored rows through the identical code in the
-identical (record = time) order. Equal inputs therefore produce
-bit-identical aggregates — including the float sums, whose addition
-order matters — which is what pins ``mode="metrics"`` observe snapshots
-``to_dict``-exact against full-mode folds (tests/test_mode_equivalence).
+batch-item spans, preemption waits, fault recoveries. :class:`TraceFold`
+reconstructs them in one pass over the stored rows, in record (= time)
+order, so the float sums are accumulated in a fixed order and repeated
+snapshots of the same run are bit-identical.
 
 The pairing rules mirror :func:`repro.observe.spans.build_spans` and
 :func:`repro.metrics.reliability.recovery_times_ms`:
@@ -31,8 +24,8 @@ Intervals still open when the run ends are closed at the horizon by
 safe to snapshot a run more than once.
 
 This module is dependency-free within the sim layer; the observe layer
-imports *from* it (``MS_BUCKETS`` lives here so a metrics-mode
-hypervisor never has to import the observe package).
+imports *from* it (``MS_BUCKETS`` is defined here and re-exported by
+``repro.observe.metrics``).
 """
 
 from __future__ import annotations
@@ -111,7 +104,6 @@ class TraceFold:
 
     __slots__ = ("_dpr", "_item", "_wait", "_recovery",
                  "_dpr_busy", "_compute_busy", "_depth", "_peak",
-                 "item_busy_done_ms", "config_busy_done_ms",
                  "_open_configs", "_open_items", "_open_waits",
                  "_open_slot_faults", "_open_config_faults")
 
@@ -122,13 +114,6 @@ class TraceFold:
         self._recovery = _HistStream()
         self._dpr_busy = 0.0
         self._compute_busy = 0.0
-        #: DONE-paired busy totals, matching ``Trace.run_busy_ms`` /
-        #: ``Trace.reconfig_busy_ms`` (whole-board form): unlike the
-        #: horizon-closed span accumulators above, these exclude spans
-        #: killed by faults or still open, exactly like the full-mode
-        #: row scan. ``MetricsTrace`` reads them directly.
-        self.item_busy_done_ms = 0.0
-        self.config_busy_done_ms = 0.0
         #: Concurrently open compute spans (streaming peak-concurrency).
         self._depth = 0
         self._peak = 0
@@ -161,7 +146,6 @@ class TraceFold:
                 duration = time - started
                 self._item.observe(duration)
                 self._compute_busy += duration
-                self.item_busy_done_ms += duration
                 self._depth -= 1
         elif kind is TraceKind.ITEM_START:
             self._open_items[(app_id, task_id, slot)] = time
@@ -176,7 +160,6 @@ class TraceFold:
                 duration = time - started
                 self._dpr.observe(duration)
                 self._dpr_busy += duration
-                self.config_busy_done_ms += duration
             recovered = self._open_config_faults.pop((app_id, task_id), None)
             if recovered is not None:
                 self._recovery.observe(time - recovered)
@@ -240,7 +223,7 @@ class TraceFold:
 
 
 def fold_rows(rows) -> TraceFold:
-    """Replay stored trace rows (full mode) through a fresh fold."""
+    """Feed stored trace rows, in record order, through a fresh fold."""
     fold = TraceFold()
     feed = fold.feed
     for row in rows:

@@ -104,7 +104,7 @@ class _RecordingEngine(SimulationEngine):
     """
 
     def __init__(self) -> None:
-        super().__init__(mode="full")
+        super().__init__()
         self.parents: List[int] = []
         self.delays: List[float] = []
         self.priorities: List[int] = []
@@ -409,7 +409,6 @@ class ReplayCache:
                 self._watchdog_factory()
                 if hv.watchdog is not None else None
             ),
-            mode="full",
         )
         trace = _RecordingTrace(engine)
         scratch.trace = trace

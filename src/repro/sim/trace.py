@@ -246,143 +246,6 @@ class Trace:
         )
 
 
-class MetricsTrace(Trace):
-    """A rowless :class:`Trace` for ``mode="metrics"`` runs.
-
-    ``record`` skips columnar row appends entirely and folds each event
-    directly into lifetime counters: the per-kind counts, first/last
-    timestamps and busy-time accumulators every *aggregate* consumer
-    (admission controller, watchdog, observe counter folds, service
-    windows, cluster board payloads) reads are **exact** — identical to
-    what a full-mode trace would report — while memory stays O(1) in
-    the event count.
-
-    Busy time is paired *streaming*: ``TASK_CONFIG_START`` /
-    ``TASK_CONFIG_DONE`` and ``ITEM_START`` / ``ITEM_DONE`` events match
-    up through the same keys :meth:`Trace._paired_busy_ms` uses, so
-    :meth:`run_busy_ms` and :meth:`reconfig_busy_ms` (whole-board form)
-    equal the full-mode row scan to the bit.
-
-    Row-level queries (``events``, iteration, ``of_kind``, ``first``,
-    ``for_app``, per-app busy time) have nothing to read and raise
-    :class:`~repro.errors.ExperimentError` naming the fix: rerun with
-    ``mode="full"``.
-    """
-
-    __slots__ = ("_total", "_total_by_kind", "_first_ms", "_last_ms",
-                 "fold")
-
-    def __init__(self) -> None:
-        super().__init__()
-        # Deferred import: sim.fold imports TraceKind from this module.
-        from repro.sim.fold import TraceFold
-
-        self._total = 0
-        self._total_by_kind: Dict[TraceKind, int] = {}
-        self._first_ms: Optional[float] = None
-        self._last_ms: Optional[float] = None
-        #: Live span/recovery fold; the observe layer snapshots from it
-        #: (full mode builds the identical fold by replaying rows). The
-        #: fold also carries the DONE-paired busy totals, so ``record``
-        #: needs no pairing of its own.
-        self.fold = TraceFold()
-
-    def record(
-        self,
-        time: float,
-        kind: TraceKind,
-        app_id: Optional[int] = None,
-        task_id: Optional[str] = None,
-        slot: Optional[int] = None,
-        detail: Optional[float] = None,
-    ) -> None:
-        """Fold one event into the lifetime aggregates (no row stored)."""
-        self._total += 1
-        by_kind = self._total_by_kind
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-        if self._first_ms is None:
-            self._first_ms = time
-        self._last_ms = time
-        # Record order is time order, so the fold's start-overwrites and
-        # done-pops see the same pairs the full-mode row scan would.
-        self.fold.feed(time, kind, app_id, task_id, slot, detail)
-
-    def record_many(self, rows) -> None:
-        """Fold many events in record order (no rows stored).
-
-        Per-row loop (not a columnar append): every row must pass
-        through :meth:`record` so the streaming fold sees events in the
-        exact order a live run would feed them.
-        """
-        record = self.record
-        for time, kind, app_id, task_id, slot, detail in rows:
-            record(time, kind, app_id, task_id, slot, detail)
-
-    def _rows_unavailable(self, what: str) -> "ExperimentError":
-        from repro.errors import ExperimentError
-
-        return ExperimentError(
-            f"{what} requires trace rows, which mode='metrics' does not "
-            "record; rerun with mode='full'"
-        )
-
-    # -- lifetime aggregates (exact over every recorded event) ----------
-    def __len__(self) -> int:
-        return self._total
-
-    @property
-    def total_recorded(self) -> int:
-        """Events ever recorded (all folded, none stored)."""
-        return self._total
-
-    def count(self, kind: TraceKind) -> int:
-        """Lifetime number of events of one kind (O(1))."""
-        return self._total_by_kind.get(kind, 0)
-
-    @property
-    def start_ms(self) -> float:
-        """Time of the first event ever recorded (O(1))."""
-        if self._first_ms is None:
-            raise IndexError("trace is empty")
-        return self._first_ms
-
-    @property
-    def end_ms(self) -> float:
-        """Time of the last event ever recorded (O(1))."""
-        if self._last_ms is None:
-            raise IndexError("trace is empty")
-        return self._last_ms
-
-    def reconfig_busy_ms(self, app_id: Optional[int] = None) -> float:
-        """Whole-board reconfiguration busy time (exact, streaming)."""
-        if app_id is not None:
-            raise self._rows_unavailable("per-app reconfig_busy_ms")
-        return self.fold.config_busy_done_ms
-
-    def run_busy_ms(self, app_id: Optional[int] = None) -> float:
-        """Whole-board item execution busy time (exact, streaming)."""
-        if app_id is not None:
-            raise self._rows_unavailable("per-app run_busy_ms")
-        return self.fold.item_busy_done_ms
-
-    # -- row-level queries: nothing to read --------------------------------
-    @property
-    def events(self) -> List[TraceEvent]:
-        raise self._rows_unavailable("trace row access")
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        raise self._rows_unavailable("trace iteration")
-
-    def of_kind(self, kind: TraceKind) -> List[TraceEvent]:
-        raise self._rows_unavailable("of_kind row query")
-
-    def for_app(self, app_id: int) -> List[TraceEvent]:
-        raise self._rows_unavailable("for_app row query")
-
-    def first(self, kind: TraceKind, app_id: Optional[int] = None):
-        raise self._rows_unavailable("first-event row query")
-
-
 class BoundedTrace(Trace):
     """A :class:`Trace` retaining only the most recent ``capacity`` rows.
 

@@ -300,7 +300,7 @@ class TestVerifier:
 @pytest.fixture(scope="module")
 def drill():
     """The acceptance drill: 4x burst episode, unbounded start, armed."""
-    return tune(rate=1.0, submissions=600, seed=1, mode="metrics", jobs=1)
+    return tune(rate=1.0, submissions=600, seed=1, jobs=1)
 
 
 class TestEndToEndDrill:
@@ -356,13 +356,13 @@ def service_task(*, armed, replay=True, submissions=240,
                  arrival=EPISODE_SPEC):
     autotune = AutotuneConfig() if armed else None
     return ("nimblock", "unbounded", 2.0, 0.0, 1, submissions,
-            10_000.0, "metrics", replay, autotune, arrival)
+            10_000.0, replay, autotune, arrival)
 
 
 class TestDeterminism:
     def test_jobs_identity(self, drill):
         assert drill == tune(
-            rate=1.0, submissions=600, seed=1, mode="metrics", jobs=2
+            rate=1.0, submissions=600, seed=1, jobs=2
         )
 
     def test_replay_flag_identity_when_armed(self):
@@ -391,11 +391,11 @@ class TestDeterminism:
     def test_tune_report_json_matches_payload(self):
         text = tune_report(
             rate=2.0, submissions=120, seed=1, as_json=True,
-            mode="metrics", jobs=1,
+            jobs=1,
         )
         payload = json.loads(text)
         assert payload == tune(
-            rate=2.0, submissions=120, seed=1, mode="metrics", jobs=1
+            rate=2.0, submissions=120, seed=1, jobs=1
         )
 
     def test_autotune_refuses_snapshotting_loops(self):
@@ -419,7 +419,7 @@ class TestZeroCost:
         code = (
             "import sys\n"
             "from repro.facade import serve\n"
-            "serve('nimblock', rate=1.0, submissions=20, mode='metrics')\n"
+            "serve('nimblock', rate=1.0, submissions=20)\n"
             "assert not [m for m in sys.modules if 'autotune' in m], "
             "'autotune imported on an un-armed run'\n"
             "print('CLEAN')\n"
@@ -439,9 +439,9 @@ class TestClusterAutotune:
     def test_armed_boards_carry_decision_records(self):
         from repro.facade import fleet
 
-        plain = fleet(2, num_events=10, seed=3, jobs=1, mode="metrics")
+        plain = fleet(2, num_events=10, seed=3, jobs=1)
         armed = fleet(
-            2, num_events=10, seed=3, jobs=1, mode="metrics",
+            2, num_events=10, seed=3, jobs=1,
             autotune=AutotuneConfig(),
         )
         assert all("autotune" not in p for p in plain.boards)
@@ -454,9 +454,9 @@ class TestClusterAutotune:
     def test_armed_cluster_jobs_identity(self):
         from repro.facade import fleet
 
-        one = fleet(3, num_events=12, seed=5, jobs=1, mode="metrics",
+        one = fleet(3, num_events=12, seed=5, jobs=1,
                     autotune=AutotuneConfig())
-        two = fleet(3, num_events=12, seed=5, jobs=2, mode="metrics",
+        two = fleet(3, num_events=12, seed=5, jobs=2,
                     autotune=AutotuneConfig())
         assert one.to_dict() == two.to_dict()
         assert one.snapshot_digest() == two.snapshot_digest()
@@ -465,7 +465,7 @@ class TestClusterAutotune:
         from repro.facade import fleet
 
         report = fleet(
-            2, num_events=10, seed=3, jobs=1, mode="metrics",
+            2, num_events=10, seed=3, jobs=1,
             fault_rate=0.05, autotune=AutotuneConfig(),
         )
         for payload in report.boards:
@@ -566,7 +566,6 @@ class TestStudyAndCli:
         result = ext_autotune.run(
             ExperimentSettings(num_sequences=1, num_events=1),
             submissions=150,
-            mode="metrics",
         )
         assert set(result["cells"]) == {
             "static-unbounded", "static-shed", "autotuned"

@@ -171,6 +171,16 @@ class TestSingleBoardEquivalence:
         assert report.retired == len(bare.retired)
         assert report.boards[0]["trace_events"] == len(bare.trace)
 
+    def test_every_fleet_board_carries_a_trace_digest(self):
+        """Idle boards included: every payload hashes its trace."""
+        from repro.facade import fleet
+
+        report = fleet(6, num_events=4, seed=2, jobs=1)
+        assert any(payload["submitted"] == 0 for payload in report.boards)
+        for payload in report.boards:
+            assert payload["trace_digest"] is not None
+            assert len(payload["trace_digest"]) == 64
+
 
 # ---------------------------------------------------------------------------
 # Operational verbs: drain, failover, work stealing

@@ -231,6 +231,35 @@ class TestInstrumentation:
         snapshot = snapshot_run(hypervisor)
         assert snapshot["counters"]["nimblock_apps_retired_total"]["value"] > 0
 
+    @staticmethod
+    def _observed_service(trace_capacity):
+        from repro.service.loop import ServiceLoop
+        from repro.workload.arrivals import service_rate_process
+
+        observer = Instrumentation()
+        loop = ServiceLoop(
+            service_rate_process(2.0, seed=1), max_submissions=300,
+            admission="shed", seed=1, observer=observer, replay=False,
+            trace_capacity=trace_capacity,
+        )
+        loop.run()
+        return loop.hv, observer
+
+    def test_observed_service_run_refuses_dropped_rows(self):
+        """Histograms folded from a trimmed ring would undercount, so an
+        observed service run whose bounded trace dropped rows is refused."""
+        hypervisor, observer = self._observed_service(256)
+        assert hypervisor.trace.dropped > 0
+        with pytest.raises(ExperimentError, match="trace_capacity"):
+            observer.finalize(hypervisor)
+
+    def test_observed_service_run_histograms_exact(self):
+        hypervisor, observer = self._observed_service(16_384)
+        assert hypervisor.trace.dropped == 0
+        snapshot = observer.finalize(hypervisor)
+        items = snapshot["histograms"]["nimblock_item_duration_ms"]
+        assert items["count"] == hypervisor.trace.count(TraceKind.ITEM_DONE)
+
     def test_hypervisor_never_imports_observe_when_unobserved(self):
         """Structural zero-overhead: a plain run loads no observe module."""
         code = (

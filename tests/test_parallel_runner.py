@@ -110,8 +110,8 @@ class TestParallelDeterminism:
     def test_property_serial_equals_parallel(self, seed, num_events):
         sequence = scenario_sequence(STRESS, seed, num_events)
         tasks = [
-            ("fcfs", sequence, None, "full"),
-            ("nimblock", sequence, None, "metrics"),
+            ("fcfs", sequence, None),
+            ("nimblock", sequence, None),
         ]
         assert parallel.map_runs(tasks, jobs=2) == parallel.map_runs(
             tasks, jobs=1
@@ -122,7 +122,7 @@ class TestParallelDeterminism:
         bad = EventSequence(events, label="bad-scheduler-seq")
         with pytest.raises(Exception):
             parallel.map_runs(
-                [("no_such_policy", bad, None, "full")], jobs=2
+                [("no_such_policy", bad, None)], jobs=2
             )
 
     def test_effective_jobs_validation(self):

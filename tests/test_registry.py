@@ -73,12 +73,12 @@ class TestUniformInvocation:
         assert "nimblock" in result.text
 
     def test_every_module_accepts_the_uniform_signature(self):
-        """run(settings, cache, *, jobs, mode) must bind everywhere."""
+        """run(settings, cache, *, jobs) must bind everywhere."""
         import inspect
 
         for experiment in all_experiments():
             signature = inspect.signature(experiment.module().run)
-            signature.bind(TINY, RunCache(), jobs=None, mode="metrics")
+            signature.bind(TINY, RunCache(), jobs=None)
 
 
 class TestShimRetired:
@@ -99,12 +99,6 @@ class TestShimRetired:
         assert "uniform_args" not in repro.experiments.__all__
         with pytest.raises(AttributeError):
             repro.uniform_args
-
-    def test_unknown_mode_rejected(self):
-        from repro.experiments import fig5_response
-
-        with pytest.raises(ExperimentError, match="unknown run mode"):
-            fig5_response.run(TINY, jobs=1, mode="fast")
 
 
 class TestPublicApi:

@@ -44,7 +44,6 @@ def _run_loop(
     rate: float = 0.05,
     submissions: int = 250,
     seed: int = 3,
-    mode: str = "full",
     window_ms: float = 60_000.0,
 ) -> ServiceLoop:
     loop = ServiceLoop(
@@ -54,7 +53,6 @@ def _run_loop(
         seed=seed,
         max_submissions=submissions,
         window_ms=window_ms,
-        mode=mode,
         replay=replay,
     )
     loop.report = loop.run()
@@ -120,13 +118,6 @@ class TestServiceLoopEquivalence:
         assert on.replay_misses > on.replay_hits
         assert _payload(on.report) == _payload(off.report)
         assert _row_digest(on.hv.trace) == _row_digest(off.hv.trace)
-
-    def test_mode_equivalence_with_replay(self):
-        """Metrics-mode replay-on matches full-mode replay-off."""
-        metrics_on = _run_loop("nimblock", replay=True, mode="metrics")
-        full_off = _run_loop("nimblock", replay=False, mode="full")
-        assert metrics_on.replay_hits > 0
-        assert _payload(metrics_on.report) == _payload(full_off.report)
 
     def test_report_payload_is_replay_blind(self):
         """The deterministic payload must not leak replay counters."""

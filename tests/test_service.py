@@ -382,8 +382,8 @@ class TestParallelAndFacade:
         from repro.experiments.parallel import service_cells
 
         tasks = [
-            ("nimblock", "shed", 2.0, 0.0, 1, 40, 15_000.0, "full"),
-            ("prema", "unbounded", 2.0, 0.0, 1, 40, 15_000.0, "metrics"),
+            ("nimblock", "shed", 2.0, 0.0, 1, 40, 15_000.0),
+            ("prema", "unbounded", 2.0, 0.0, 1, 40, 15_000.0),
         ]
         serial = service_cells(tasks, jobs=1)
         fanned = service_cells(tasks, jobs=2)

@@ -154,6 +154,9 @@ def test_cluster_scaling(benchmark, settings):
         assert result.scaling(placement)[-1] > 1.0, (
             f"{placement}: no throughput scaling at {biggest} boards"
         )
+        assert result.speedup(placement)[-1] > 1.0, (
+            f"{placement}: no fixed-stream speedup at {biggest} boards"
+        )
     check_determinism()
     emit(ext_cluster.format_result(result))
 

@@ -1,8 +1,8 @@
 """Extension bench: heterogeneous fleets (Hetero-ViTAL's setting).
 
 Shapes: the big+edge pair improves on a single big board but not as much
-as two big boards; capability-normalized dispatch places more work on the
-big board.
+as two big boards; capability-normalized placement puts more estimated
+work on the big board.
 """
 
 from __future__ import annotations
@@ -22,6 +22,6 @@ def test_ext_heterogeneous_fleets(benchmark, settings):
     hetero = result.response("big + edge")
     assert pair <= hetero * 1.05
     assert hetero <= single * 1.05
-    big_count, edge_count = result.placements["big + edge"]
-    assert big_count > edge_count
+    big_work, edge_work = result.work_ms["big + edge"]
+    assert big_work > edge_work
     emit(ext_hetero.format_result(result))

@@ -3,8 +3,8 @@
 
 The paper names scale-out as a core virtualization feature (§1). This
 example replays the same stress-test arrival stream against fleets of one
-to four virtualized FPGAs (each running its own Nimblock scheduler) and
-compares the two dispatch policies of the cluster front-end.
+to four zcu106 boards (each running its own Nimblock scheduler) and
+compares two placement policies of the cluster tier.
 
 Run:
     python examples/scaleout_cluster.py
@@ -12,16 +12,17 @@ Run:
 
 from __future__ import annotations
 
-from repro import STRESS, scenario_sequence
-from repro.hypervisor.cluster import DISPATCH_POLICIES, FPGACluster
+from repro import STRESS, Cluster, fleet_profiles, scenario_sequence
+
+POLICIES = ("round_robin", "least_loaded")
 
 
-def run_fleet(num_devices: int, dispatch: str, sequence):
-    cluster = FPGACluster(num_devices, dispatch=dispatch)
-    for request in sequence.to_requests():
-        cluster.submit(request)
-    cluster.run()
-    return cluster
+def run_fleet(num_boards: int, placement: str, sequence):
+    fleet = Cluster(
+        fleet_profiles(num_boards, mix=("zcu106",)), placement=placement
+    )
+    fleet.submit_sequence(sequence)
+    return fleet.run(jobs=1)
 
 
 def main() -> None:
@@ -32,23 +33,23 @@ def main() -> None:
         f"({', '.join(sequence.benchmarks_used())})\n"
     )
 
-    print(f"{'devices':>8s}" + "".join(
-        f"{d + ' (s)':>20s}{'placement':>14s}" for d in DISPATCH_POLICIES
+    print(f"{'boards':>8s}" + "".join(
+        f"{p + ' (s)':>20s}{'placement':>14s}" for p in POLICIES
     ))
-    print("-" * (8 + 34 * len(DISPATCH_POLICIES)))
-    for devices in (1, 2, 3, 4):
-        row = f"{devices:8d}"
-        for dispatch in DISPATCH_POLICIES:
-            cluster = run_fleet(devices, dispatch, sequence)
-            mean_s = cluster.mean_response_ms() / 1000.0
-            placement = "/".join(
-                str(count) for count in cluster.device_utilization()
+    print("-" * (8 + 34 * len(POLICIES)))
+    for num_boards in (1, 2, 3, 4):
+        row = f"{num_boards:8d}"
+        for placement in POLICIES:
+            report = run_fleet(num_boards, placement, sequence)
+            mean_s = report.sketch.mean / 1000.0
+            counts = "/".join(
+                str(payload["submitted"]) for payload in report.boards
             )
-            row += f"{mean_s:20.1f}{placement:>14s}"
+            row += f"{mean_s:20.1f}{counts:>14s}"
         print(row)
 
     print(
-        "\nleast-loaded dispatch uses the hypervisor's HLS-based work "
+        "\nleast-loaded placement uses the hypervisor's HLS-based work "
         "estimates, so kilosecond applications (digit recognition) land "
         "alone while short applications pack together."
     )

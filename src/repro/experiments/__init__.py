@@ -29,7 +29,6 @@ from repro.experiments import (
     ext_hetero,
     ext_interconnect,
     ext_mixes,
-    ext_scaleout,
     ext_schedulers,
     ext_seeds,
     ext_utilization,
@@ -67,7 +66,6 @@ __all__ = [
     "ext_hetero",
     "ext_interconnect",
     "ext_mixes",
-    "ext_scaleout",
     "ext_schedulers",
     "ext_seeds",
     "ext_utilization",

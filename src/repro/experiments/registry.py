@@ -119,7 +119,6 @@ _SPECS: Tuple[Tuple[str, str], ...] = (
     ("ext-interconnect", "repro.experiments.ext_interconnect"),
     ("ext-mixes", "repro.experiments.ext_mixes"),
     ("ext-overload", "repro.experiments.ext_overload"),
-    ("ext-scaleout", "repro.experiments.ext_scaleout"),
     ("ext-schedulers", "repro.experiments.ext_schedulers"),
     ("ext-seeds", "repro.experiments.ext_seeds"),
     ("ext-service", "repro.experiments.ext_service"),

@@ -13,6 +13,7 @@ import pytest
 
 from repro.cluster import (
     Cluster,
+    EDGE_BOARD,
     PLACEMENT_POLICIES,
     ZCU106_BOARD,
     BoardProfile,
@@ -146,6 +147,35 @@ class TestPlacementPolicies:
         # Power-aware treats both as 10-slot boards; cheaper joules win
         # ties, so the zcu106 (3.5 W/slot vs 4.5) gets at least half.
         assert pa_boards.count(0) >= pa_boards.count(1)
+
+    def test_least_loaded_steers_light_apps_off_heavy_board(self):
+        fleet = Cluster(
+            fleet_profiles(2, mix=("zcu106",)), placement="least_loaded"
+        )
+        heavy = fleet.submit(EventSpec("dr", 5, 1, 0.0))
+        light = [
+            fleet.submit(EventSpec("lenet", 1, 1, t)).board
+            for t in (1.0, 2.0)
+        ]
+        assert light == [1 - heavy.board] * 2
+
+    def test_big_board_takes_more_estimated_work_than_edge(self):
+        fleet = Cluster((ZCU106_BOARD, EDGE_BOARD), placement="least_loaded")
+        decisions = fleet.submit_sequence(stream(num_events=12))
+        work = [
+            sum(d.estimate_ms for d in decisions if d.board == board)
+            for board in (0, 1)
+        ]
+        assert work[0] > work[1] > 0
+        assert work == [fleet.board_load_ms(0), fleet.board_load_ms(1)]
+
+    def test_heterogeneous_fleet_retires_every_app(self):
+        events = stream(num_events=8)
+        fleet = Cluster((ZCU106_BOARD, EDGE_BOARD), placement="least_loaded")
+        fleet.submit_sequence(events)
+        report = fleet.run(jobs=1)
+        assert report.retired == len(events)
+        assert all(payload["submitted"] for payload in report.boards)
 
 
 # ---------------------------------------------------------------------------

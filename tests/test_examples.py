@@ -47,10 +47,14 @@ class TestExamples:
         assert (tmp_path / "results.csv").exists()
         assert (tmp_path / "trace.json").exists()
 
+    def test_scaleout_cluster(self):
+        out = _run("scaleout_cluster.py")
+        assert "least_loaded (s)" in out
+        # Round-robin over four boards spreads 20 arrivals evenly.
+        assert "5/5/5/5" in out
+
     @pytest.mark.parametrize(
-        "script",
-        ["cloud_multitenant.py", "realtime_deadlines.py",
-         "scaleout_cluster.py"],
+        "script", ["cloud_multitenant.py", "realtime_deadlines.py"]
     )
     def test_scripts_importable(self, script):
         # The heavier examples are compile-checked rather than executed to

@@ -7,10 +7,10 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.experiments import (
+    ext_cluster,
     ext_estimates,
     ext_interconnect,
     ext_mixes,
-    ext_scaleout,
     ext_schedulers,
 )
 from repro.experiments.runner import ExperimentSettings, RunCache
@@ -66,10 +66,13 @@ class TestInterconnectStudy:
 
 class TestScaleOut:
     def test_fleet_speedup_positive(self):
-        result = ext_scaleout.run(settings=TINY, fleet_sizes=(1, 2))
-        for dispatch in ("round_robin", "least_loaded"):
-            assert result.speedup(2, dispatch) >= 1.0
-        assert "scale-out" in ext_scaleout.format_result(result)
+        result = ext_cluster.run(
+            settings=TINY, fleet_sizes=(1, 2),
+            placements=("round_robin", "least_loaded"),
+        )
+        for placement in result.placements:
+            assert result.speedup(placement)[-1] >= 1.0
+        assert "fixed STRESS stream" in ext_cluster.format_result(result)
 
 
 class TestSeedSensitivity:
@@ -93,13 +96,17 @@ class TestHeteroFleets:
     def test_fleets_complete_and_report(self):
         from repro.experiments import ext_hetero
 
-        result = ext_hetero.run(settings=TINY)
+        result = ext_hetero.run(settings=TINY, jobs=1)
         # Ordering claims need statistical scale (the bench asserts them
         # at 3x20); here we check completeness and accounting only.
         assert result.response("2x big") <= result.response("1x big")
         big, edge = result.placements["big + edge"]
         assert big + edge == TINY.num_sequences * TINY.num_events
-        assert "heterogeneous" in ext_hetero.format_result(result).lower()
+        assert len(result.work_ms["big + edge"]) == 2
+        text = ext_hetero.format_result(result)
+        assert "heterogeneous" in text.lower()
+        sharded = ext_hetero.run(settings=TINY, jobs=2)
+        assert ext_hetero.format_result(sharded) == text
 
 
 class TestExtendedSchedulers:

@@ -25,7 +25,7 @@ CHEAP = ("fig2", "fig4", "table1", "table2")
 class TestRegistryContents:
     def test_every_cli_experiment_is_registered(self):
         names = experiment_names()
-        assert len(names) == 29
+        assert len(names) == 28
         for expected in ("fig2", "fig5", "fig11", "table1", "table3",
                          "overhead", "report", "ext-faults", "ext-seeds",
                          "ext-service", "ext-cluster", "ext-autotune"):

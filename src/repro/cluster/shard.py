@@ -3,9 +3,16 @@
 Between placement decisions the boards of a fleet are completely
 independent — each runs its own hypervisor over its own placed arrivals.
 That makes the *board* the natural sharding axis: the cluster serializes
-each board's work into a picklable :data:`BoardTask`, fans the tasks out
-over worker processes via :func:`repro.experiments.parallel.fanout`, and
-merges the returned payloads in board-index order.
+each board's work into a picklable :data:`BoardTask`, splits the tasks
+into contiguous *shards* (one per worker process, the partition
+:func:`repro.experiments.parallel.fanout` uses), simulates each shard
+in one worker call, and merges the returned payloads in board-index
+order.
+
+Each shard owns one replay segment store while its worker call runs:
+its boards share scratch recordings of request shapes, keyed by the
+recording world (see :func:`_world_segments`), and nothing survives into
+the next shard, so a shard's store is a pure function of its tasks.
 
 Three properties make ``--jobs N`` byte-identical to serial:
 
@@ -17,7 +24,9 @@ Three properties make ``--jobs N`` byte-identical to serial:
   :class:`~repro.service.sketch.QuantileSketch` dump, both of which
   merge associatively and serialize canonically;
 * ``fanout`` gathers results in task order and ``jobs=1`` short-circuits
-  through the *same* worker function, keeping one code path.
+  through the *same* worker function, keeping one code path (shared
+  segments change how often a shape is recorded, never a payload:
+  replay is byte-identical to live simulation).
 
 The per-board trace never crosses the process boundary — only its sha256
 digest does, which is also what the golden-pin and
@@ -237,6 +246,9 @@ def _board_run(
                 (lambda: Watchdog(watchdog.config))
                 if watchdog is not None else None
             ),
+            store=_world_segments(
+                hypervisor, scheduler_name, admission_policy, seed
+            ),
         )
     for spec in specs:
         hypervisor.submit(spec.to_request())
@@ -291,10 +303,75 @@ def _board_run(
     return payload, hypervisor, controller
 
 
+#: The replay segment store of the shard this process is simulating (a
+#: dict of per-world segment dicts), or None outside :func:`_simulate_shard`.
+_shard_segments: Optional[dict] = None
+
+
+def _world_segments(
+    hypervisor, scheduler_name: str, admission_policy, seed: int
+) -> Optional[dict]:
+    """This board's part of the shard's segment store, or None.
+
+    A recorded segment depends on the request shape and on everything
+    the scratch recording world is built from: the platform config, the
+    scheduler, the admission policy (and the seed its retry jitter draws
+    from), the watchdog config and the buffer sizes. Boards agreeing on
+    all of them share one sub-dict. None — a private per-board cache —
+    outside a shard, and for a materialized admission policy, which no
+    key can safely identify.
+    """
+    store = _shard_segments
+    if store is None or not (
+        admission_policy is None or isinstance(admission_policy, str)
+    ):
+        return None
+    watchdog = hypervisor.watchdog
+    world = (
+        hypervisor.config,
+        scheduler_name,
+        admission_policy,
+        seed if admission_policy is not None else None,
+        watchdog.config if watchdog is not None else None,
+        hypervisor.buffers._capacity,
+        hypervisor.item_buffer_bytes,
+    )
+    return store.setdefault(world, {})
+
+
+def _simulate_shard(tasks: Sequence[BoardTask]) -> List[dict]:
+    """Worker: one shard's boards in order, sharing one segment store.
+
+    Calls :func:`simulate_board` through the module global, so a
+    wrapped ``simulate_board`` runs for every board. The store is
+    dropped on the way out, so nothing outlives the shard.
+    """
+    global _shard_segments
+    _shard_segments = {}
+    try:
+        return [simulate_board(task) for task in tasks]
+    finally:
+        _shard_segments = None
+
+
 def board_cells(
     tasks: Sequence[BoardTask], jobs: Optional[int] = None
 ) -> List[dict]:
-    """Fan board simulations out; payloads in board-task order."""
+    """Fan board simulations out shard by shard; payloads in task order.
+
+    The shards are the contiguous chunks
+    :func:`~repro.experiments.parallel.fanout` would give each worker.
+    """
     from repro.experiments import parallel
 
-    return parallel.fanout(simulate_board, tasks, jobs=jobs)
+    tasks = list(tasks)
+    if not tasks:
+        return []
+    jobs = parallel.effective_jobs(jobs)
+    size = parallel._chunksize(len(tasks), min(jobs, len(tasks)))
+    shards = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+    return [
+        payload
+        for payloads in parallel.fanout(_simulate_shard, shards, jobs=jobs)
+        for payload in payloads
+    ]

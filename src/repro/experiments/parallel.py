@@ -14,12 +14,16 @@ modules:
   boundary);
 * :func:`fanout` — the generic deterministic scatter/gather both build on.
 
-Determinism contract: workers are stateless, tasks are partitioned into
-contiguous chunks that are a pure function of (task count, worker count),
-and results are gathered in task order — so for identical inputs the
-returned lists are identical whatever ``jobs`` is, including ``jobs=1``
-(which short-circuits to in-process execution through the *same* worker
-function, keeping one code path for serial and parallel aggregation).
+Determinism contract: workers keep no state across chunks, tasks are
+partitioned into contiguous chunks that are a pure function of (task
+count, worker count), and results are gathered in task order — so for
+identical inputs the returned lists are identical whatever ``jobs`` is,
+including ``jobs=1`` (which short-circuits to in-process execution
+through the *same* worker function, keeping one code path for serial
+and parallel aggregation). State scoped to one chunk is allowed when it
+is a pure function of that chunk's tasks and changes no result: the
+cluster's shard worker (:func:`repro.cluster.shard.board_cells`) shares
+one replay segment store among the boards of a chunk.
 """
 
 from __future__ import annotations

@@ -250,11 +250,19 @@ class Segment:
 
 
 class ReplayCache:
-    """Memoized per-request-shape execution segments for one hypervisor.
+    """Memoized per-request-shape execution segments for a hypervisor.
 
     Attach with ``hypervisor._replay = ReplayCache(hypervisor, ...)``;
     the hypervisor consults :meth:`try_replay` on each admitted arrival
     and falls through to live simulation whenever it returns False.
+
+    ``store`` is the segment dict (request shape → segment); by default
+    a private one, so the cache serves this hypervisor alone. Caches of
+    several hypervisors may share one store only when their recording
+    worlds are identical — same config, scheduler, admission and
+    watchdog construction, buffer sizes — because a segment is a pure
+    function of that world and the request shape (the cluster's shard
+    worker keys its shared store that way).
 
     ``scheduler_factory`` must build a scheduler configured identically
     to the live one (the attach sites construct both from the same
@@ -282,6 +290,7 @@ class ReplayCache:
         watchdog_factory: Optional[Callable[[], object]] = None,
         next_arrival_ms: Optional[Callable[[], Optional[float]]] = None,
         on_credit: Optional[Callable[[List[float]], None]] = None,
+        store: Optional[Dict[tuple, tuple]] = None,
     ) -> None:
         self._hv = hypervisor
         self._scheduler_factory = scheduler_factory
@@ -292,7 +301,7 @@ class ReplayCache:
         #: (graph id, batch, priority) -> (graph ref, Segment | None).
         #: The strong graph reference keeps the id stable; None marks a
         #: shape proven non-replayable (negative cache).
-        self._segments: Dict[tuple, tuple] = {}
+        self._segments: Dict[tuple, tuple] = {} if store is None else store
         self.hits = 0
         self.misses = 0
         self.recordings = 0

@@ -20,20 +20,25 @@ TRACE_FORMAT_VERSION = 1
 
 
 def trace_to_dict(trace: Trace, label: str = "") -> dict:
-    """JSON-serializable representation of a trace."""
+    """JSON-serializable representation of a trace.
+
+    Reads the trace's stored rows directly, so exporting (and digesting)
+    a trace never materializes its :class:`~repro.sim.trace.TraceEvent`
+    objects.
+    """
     return {
         "format": TRACE_FORMAT_VERSION,
         "label": label,
         "events": [
             {
-                "time": event.time,
-                "kind": event.kind.value,
-                "app_id": event.app_id,
-                "task_id": event.task_id,
-                "slot": event.slot,
-                "detail": event.detail,
+                "time": time,
+                "kind": kind.value,
+                "app_id": app_id,
+                "task_id": task_id,
+                "slot": slot,
+                "detail": detail,
             }
-            for event in trace
+            for time, kind, app_id, task_id, slot, detail in trace._rows
         ],
     }
 

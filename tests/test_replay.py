@@ -20,6 +20,7 @@ contract everywhere the cache attaches:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 
@@ -221,15 +222,40 @@ class TestBareHypervisorEquivalence:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _live_fleet_payload(admission) -> str:
+    """The replay-off, serial reference for the shared-store matrix."""
+    from repro.facade import fleet
+
+    return _payload(fleet(
+        5, num_events=40, jobs=1, seed=5, admission=admission,
+        rate_multiplier=1.0, replay=False,
+    ))
+
+
 class TestClusterEquivalence:
-    def test_cluster_report_identical_with_and_without_replay(self):
+    # Ids: the jobs value, suffixed "d" under degrade admission.
+    @pytest.mark.parametrize("jobs, admission", [
+        pytest.param(jobs, admission, id=f"{jobs}{'d' if admission else ''}")
+        for admission in (None, "degrade")
+        for jobs in (1, 2, 3)
+    ])
+    def test_cluster_report_identical_with_and_without_replay(
+        self, jobs, admission
+    ):
+        """Five boards on the zcu106/edge/hpc mix: every shard (5, 3/2
+        or 2/2/1 boards) holds boards of different profiles sharing one
+        segment store, and the report must not notice. At the 1x rate
+        most arrivals find their board idle, so most are replayed — a
+        segment recorded on one profile and applied on another would
+        change the payload."""
         from repro.facade import fleet
 
-        on = fleet(2, num_events=16, jobs=1, seed=5, replay=True)
-        off = fleet(2, num_events=16, jobs=1, seed=5, replay=False)
-        assert json.dumps(on.to_dict(), sort_keys=True) == json.dumps(
-            off.to_dict(), sort_keys=True
+        on = fleet(
+            5, num_events=40, jobs=jobs, seed=5, admission=admission,
+            rate_multiplier=1.0, replay=True,
         )
+        assert _payload(on) == _live_fleet_payload(admission)
 
     def test_chaos_cluster_identical(self):
         from repro.facade import fleet
@@ -241,3 +267,60 @@ class TestClusterEquivalence:
         assert json.dumps(on.to_dict(), sort_keys=True) == json.dumps(
             off.to_dict(), sort_keys=True
         )
+
+
+class TestShardSegmentStore:
+    """Boards of one shard share recordings, only within one world, and
+    no store outlives the shard that built it."""
+
+    @staticmethod
+    def _sparse_fleet():
+        from repro.cluster import Cluster, fleet_profiles
+        from repro.workload.events import EventSequence
+
+        # Round-robin over zcu106/edge/hpc/zcu106/edge/hpc; arrivals far
+        # apart, so every board is idle at every arrival and records each
+        # shape it has not seen in its world.
+        cluster = Cluster(fleet_profiles(6), placement="round_robin", seed=1)
+        cluster.submit_sequence(EventSequence([
+            EventSpec(
+                benchmark=("lenet", "imgc")[(index // 6) % 2],
+                batch_size=4,
+                priority=1,
+                arrival_ms=index * 500_000.0,
+            )
+            for index in range(24)
+        ]))
+        return cluster
+
+    def test_recordings_shared_per_world_and_scoped_to_one_run(
+        self, monkeypatch
+    ):
+        calls = []
+        original = ReplayCache._record
+
+        def counting_record(self, request):
+            calls.append(request)
+            return original(self, request)
+
+        monkeypatch.setattr(ReplayCache, "_record", counting_record)
+        cluster = self._sparse_fleet()
+        # (profile, request shape) per board; task[1] is the profile and
+        # task[4] the placed specs.
+        placed = [
+            {
+                (task[1].name, spec.benchmark, spec.batch_size, spec.priority)
+                for spec in task[4]
+            }
+            for task in cluster.board_tasks()
+        ]
+        per_world = set().union(*placed)
+        per_board = sum(len(pairs) for pairs in placed)
+
+        first = _payload(cluster.run(jobs=1))
+        assert len(calls) == len(per_world) == 6
+        assert len(calls) < per_board == 12
+        # A second run builds a fresh store, so it records again.
+        second = _payload(cluster.run(jobs=1))
+        assert len(calls) == 2 * len(per_world)
+        assert first == second == _payload(cluster.run(jobs=1, replay=False))

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
-from repro.sim.trace import Trace, TraceKind
+import hashlib
+import json
+
+import pytest
+
+from repro.cluster.shard import trace_digest
+from repro.sim.trace import BoundedTrace, Trace, TraceKind
+from repro.sim.trace_export import TRACE_FORMAT_VERSION, trace_to_dict
 
 
 def _sample_trace() -> Trace:
@@ -69,3 +76,96 @@ class TestAggregates:
         trace.record(0.0, TraceKind.ITEM_START, app_id=1, task_id="t",
                      slot=0, detail=0.0)
         assert trace.run_busy_ms() == 0.0
+
+
+def _reference_trace_to_dict(trace: Trace, label: str = "") -> dict:
+    """The export as it was built from materialized TraceEvents."""
+    return {
+        "format": TRACE_FORMAT_VERSION,
+        "label": label,
+        "events": [
+            {
+                "time": event.time,
+                "kind": event.kind.value,
+                "app_id": event.app_id,
+                "task_id": event.task_id,
+                "slot": event.slot,
+                "detail": event.detail,
+            }
+            for event in trace
+        ],
+    }
+
+
+def _hypervisor_trace(faults=None, replay: bool = False, specs=None) -> Trace:
+    from repro.hypervisor.hypervisor import Hypervisor
+    from repro.schedulers.registry import make_scheduler
+    from repro.sim.replay import ReplayCache
+    from repro.workload.scenarios import STANDARD, scenario_sequence
+
+    hv = Hypervisor(make_scheduler("nimblock"), faults=faults)
+    if replay:
+        hv._replay = ReplayCache(
+            hv, scheduler_factory=lambda: make_scheduler("nimblock")
+        )
+    if specs is None:
+        specs = scenario_sequence(STANDARD, seed=3, num_events=8)
+    for spec in specs:
+        hv.submit(spec.to_request())
+    hv.run()
+    if replay:
+        assert hv._replay.hits > 0
+    return hv.trace
+
+
+def _chaos_trace() -> Trace:
+    from repro.faults.injector import FaultInjector
+    from repro.workload.scenarios import chaos_scenario
+
+    trace = _hypervisor_trace(faults=FaultInjector(
+        chaos_scenario("mixed").fault_config(0.2, seed=11)
+    ))
+    assert trace.count(TraceKind.SLOT_FAULT) > 0
+    assert any(row[2] is None for row in trace._rows)
+    return trace
+
+
+def _replayed_trace() -> Trace:
+    from repro.workload.events import EventSpec
+
+    return _hypervisor_trace(replay=True, specs=[
+        EventSpec(
+            benchmark=("lenet", "imgc")[index % 2],
+            batch_size=4,
+            priority=1,
+            arrival_ms=index * 500_000.0,
+        )
+        for index in range(8)
+    ])
+
+
+def _trimmed_trace() -> Trace:
+    trace = BoundedTrace(capacity=16)
+    trace.record_many(_hypervisor_trace()._rows)
+    assert trace.dropped > 0
+    return trace
+
+
+class TestRowExport:
+    """``trace_to_dict`` reads stored rows; its output (and every digest
+    over it) equals the TraceEvent-based export it replaced."""
+
+    @pytest.mark.parametrize("build", [
+        _hypervisor_trace, _chaos_trace, _replayed_trace, _trimmed_trace,
+    ], ids=["closed", "chaos", "replayed", "trimmed"])
+    def test_matches_event_based_export(self, build):
+        trace = build()
+        exported = trace_to_dict(trace, label="t")
+        digest = trace_digest(trace, "t")
+        assert trace._cache is None
+        reference = _reference_trace_to_dict(trace, label="t")
+        # Same keys in the same order: saved (unsorted) files match too.
+        assert json.dumps(exported) == json.dumps(reference)
+        assert digest == hashlib.sha256(
+            json.dumps(reference, sort_keys=True).encode("utf-8")
+        ).hexdigest()

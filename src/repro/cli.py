@@ -423,12 +423,7 @@ def _run_trace(args: argparse.Namespace, settings: ExperimentSettings) -> int:
     import json
 
     from repro.observe.aggregate import observed_run
-    from repro.observe.exporters import (
-        trace_to_chrome,
-        trace_to_jsonl,
-        validate_chrome_trace,
-    )
-    from repro.observe.spans import expected_span_count
+    from repro.observe.exporters import _checked_chrome_trace, trace_to_jsonl
     from repro.workload.scenarios import scenario_sequence
 
     scheduler = args.scheduler or "nimblock"
@@ -439,13 +434,9 @@ def _run_trace(args: argparse.Namespace, settings: ExperimentSettings) -> int:
         scheduler, sequence, _fault_config(args, default_rate=0.0)
     )
     if args.format == "chrome":
-        payload = trace_to_chrome(
-            hypervisor.trace,
-            label=scheduler,
-            num_slots=hypervisor.config.num_slots,
+        payload, spans = _checked_chrome_trace(
+            hypervisor.trace, scheduler, hypervisor.config.num_slots
         )
-        spans = validate_chrome_trace(payload)
-        assert spans == expected_span_count(hypervisor.trace)
         text = json.dumps(payload, sort_keys=True) + "\n"
         note = f"chrome trace: {spans} spans"
     else:

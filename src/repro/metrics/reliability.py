@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.errors import ExperimentError
 from repro.hypervisor.results import AppResult
@@ -59,29 +59,13 @@ def recovery_times_ms(trace: Trace) -> List[float]:
     A slot recovery runs from ``SLOT_FAULT`` to the next ``SLOT_REPAIRED``
     on the same slot; a reconfiguration recovery runs from
     ``CONFIG_FAILED`` to the task's next successful ``TASK_CONFIG_DONE``.
-    Faults still unrecovered when the trace ends contribute nothing.
+    Faults still unrecovered when the trace ends contribute nothing. The
+    intervals come from the same pairing walk as the span view and the
+    metrics snapshot.
     """
-    times: List[float] = []
-    open_slot_faults: Dict[int, float] = {}
-    open_config_faults: Dict[Tuple[Optional[int], Optional[str]], float] = {}
-    for event in trace:
-        if event.kind == TraceKind.SLOT_FAULT and event.slot is not None:
-            open_slot_faults.setdefault(event.slot, event.time)
-        elif event.kind == TraceKind.SLOT_REPAIRED and event.slot is not None:
-            started = open_slot_faults.pop(event.slot, None)
-            if started is not None:
-                times.append(event.time - started)
-        elif event.kind == TraceKind.CONFIG_FAILED:
-            open_config_faults.setdefault(
-                (event.app_id, event.task_id), event.time
-            )
-        elif event.kind == TraceKind.TASK_CONFIG_DONE:
-            started = open_config_faults.pop(
-                (event.app_id, event.task_id), None
-            )
-            if started is not None:
-                times.append(event.time - started)
-    return times
+    from repro.observe.spans import _horizon, _walk
+
+    return _walk(trace, _horizon(trace))[1]
 
 
 def mean_time_to_recovery_ms(trace: Trace) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ExperimentError
 from repro.observe.metrics import to_prometheus
@@ -172,6 +172,25 @@ def validate_chrome_trace(payload: dict) -> int:
     return span_events
 
 
+def _checked_chrome_trace(
+    trace: Trace, label: str, num_slots: Optional[int]
+) -> Tuple[dict, int]:
+    """Export ``trace`` and check its span count; returns (payload, spans).
+
+    Raises :class:`ExperimentError` unless the payload is well formed and
+    holds exactly :func:`~repro.observe.spans.expected_span_count` spans.
+    """
+    payload = trace_to_chrome(trace, label=label, num_slots=num_slots)
+    spans = validate_chrome_trace(payload)
+    expected = expected_span_count(trace)
+    if spans != expected:
+        raise ExperimentError(
+            f"chrome trace holds {spans} spans but the trace implies "
+            f"{expected}"
+        )
+    return payload, spans
+
+
 def save_chrome_trace(
     trace: Trace,
     path: Union[str, Path],
@@ -180,11 +199,11 @@ def save_chrome_trace(
 ) -> Path:
     """Write a Perfetto-loadable Chrome trace for one run; returns path.
 
-    The span count in the payload always matches
-    :func:`~repro.observe.spans.expected_span_count` for the trace.
+    The span count in the payload must match
+    :func:`~repro.observe.spans.expected_span_count` for the trace;
+    :class:`ExperimentError` is raised otherwise.
     """
-    payload = trace_to_chrome(trace, label=label, num_slots=num_slots)
-    assert validate_chrome_trace(payload) == expected_span_count(trace)
+    payload, _ = _checked_chrome_trace(trace, label, num_slots)
     path = Path(path)
     path.write_text(
         json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"

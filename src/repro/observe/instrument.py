@@ -34,7 +34,13 @@ from repro.observe.metrics import (
     MetricsRegistry,
     TOKEN_BUCKETS,
 )
-from repro.sim.fold import fold_rows
+from repro.observe.spans import (
+    CATEGORY_COMPUTE,
+    CATEGORY_DPR,
+    CATEGORY_WAIT,
+    _horizon,
+    _walk,
+)
 from repro.sim.trace import TraceKind
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -278,41 +284,50 @@ def observe_run(
     for name, help_text, value in counters:
         registry.counter(name, help_text).inc(float(value))
 
-    # Interval metrics pair start/end rows in one pass over the stored
-    # trace, in record order. See repro.sim.fold.
-    horizon = trace.end_ms if len(trace) else 0.0
-    folded = fold_rows(trace._rows).aggregates(horizon)
-
-    registry.histogram(
+    # Interval metrics: one pairing walk over the stored trace rows, each
+    # histogram fed in close order (see repro.observe.spans).
+    horizon = _horizon(trace)
+    spans, recoveries, peak_compute = _walk(trace, horizon)
+    dpr = registry.histogram(
         "nimblock_dpr_duration_ms",
         "Duration of each partial reconfiguration (config-port hold time)",
         MS_BUCKETS,
-    ).absorb(folded.dpr.count, folded.dpr.sum, folded.dpr.bucket_counts)
-    registry.histogram(
+    )
+    item = registry.histogram(
         "nimblock_item_duration_ms",
         "Execution time of each batch item",
         MS_BUCKETS,
-    ).absorb(folded.item.count, folded.item.sum, folded.item.bucket_counts)
-    registry.histogram(
+    )
+    wait = registry.histogram(
         "nimblock_wait_duration_ms",
         "Off-board wait of each preempted/evicted task until resumption",
         MS_BUCKETS,
-    ).absorb(folded.wait.count, folded.wait.sum, folded.wait.bucket_counts)
-    recovery = folded.recovery
-    registry.histogram(
+    )
+    observers = {
+        CATEGORY_DPR: dpr.observe,
+        CATEGORY_COMPUTE: item.observe,
+        CATEGORY_WAIT: wait.observe,
+    }
+    for _, category, start_ms, end_ms, *_ in spans:
+        observe = observers.get(category)
+        if observe is not None:
+            observe(end_ms - start_ms)
+    recovery = registry.histogram(
         "nimblock_recovery_ms",
         "Fault-to-recovery intervals (slot repairs and DPR retries)",
         MS_BUCKETS,
-    ).absorb(recovery.count, recovery.sum, recovery.bucket_counts)
+    )
+    for interval in recoveries:
+        recovery.observe(interval)
 
     registry.counter(
         "nimblock_dpr_busy_ms_total",
         "Total simulated time the configuration port was held",
-    ).inc(folded.dpr_busy_ms)
+    ).inc(dpr.sum)
     registry.counter(
         "nimblock_compute_busy_ms_total",
         "Total simulated slot-busy time across batch items",
-    ).inc(folded.compute_busy_ms)
+    ).inc(item.sum)
 
     registry.gauge(
         "nimblock_sim_time_ms", "Simulated horizon of the run",
@@ -323,12 +338,12 @@ def observe_run(
     registry.gauge(
         "nimblock_slots_busy_peak",
         "Peak number of slots executing items simultaneously",
-    ).set(folded.peak_compute)
+    ).set(peak_compute)
     if horizon > 0 and config.num_slots > 0:
         registry.gauge(
             "nimblock_slot_utilization_ratio",
             "Slot-time fraction spent executing items (allocated vs used)",
-        ).set(folded.compute_busy_ms / (config.num_slots * horizon))
+        ).set(item.sum / (config.num_slots * horizon))
     if recovery.count:
         registry.gauge(
             "nimblock_mttr_ms",

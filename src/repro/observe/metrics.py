@@ -30,8 +30,10 @@ from repro.errors import ReproError
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 
 #: Default histogram buckets for simulated-millisecond durations.
-#: Canonically defined next to the trace fold in :mod:`repro.sim.fold`.
-from repro.sim.fold import MS_BUCKETS  # noqa: E402
+MS_BUCKETS: Tuple[float, ...] = (
+    1.0, 5.0, 10.0, 50.0, 80.0, 100.0, 200.0, 500.0,
+    1_000.0, 5_000.0, 10_000.0, 60_000.0,
+)
 
 #: Buckets for scheduler token sums observed at selection time.
 TOKEN_BUCKETS: Tuple[float, ...] = (
@@ -116,18 +118,6 @@ class Histogram:
         for index, upper in enumerate(self.buckets):
             if value <= upper:
                 self.bucket_counts[index] += 1
-
-    def absorb(self, count: int, total: float, bucket_counts) -> None:
-        """Fold pre-aggregated observations (same bucket layout) in."""
-        if len(bucket_counts) != len(self.buckets):
-            raise MetricError(
-                f"cannot absorb {len(bucket_counts)} bucket counts into a "
-                f"{len(self.buckets)}-bucket histogram"
-            )
-        self.count += count
-        self.sum += total
-        for index, bucketed in enumerate(bucket_counts):
-            self.bucket_counts[index] += bucketed
 
 
 _KINDS = ("counter", "gauge", "histogram")

@@ -15,8 +15,12 @@ span ``name``        opened by / closed by                        category
 ``item``             ITEM_START → ITEM_DONE (or SLOT_FAULT)       ``compute``
 ``preempted``        TASK_PREEMPTED → TASK_RESUMED                ``wait``
 ``evicted``          SLOT_FAULT (occupied) → TASK_RESUMED         ``wait``
-``slot-fault``       SLOT_FAULT → SLOT_REPAIRED                   ``fault``
+``slot-fault``       first SLOT_FAULT → SLOT_REPAIRED             ``fault``
 ===================  ==========================================  ===========
+
+A slot outage runs from the slot's first ``SLOT_FAULT`` to its
+``SLOT_REPAIRED``; a re-fault of a slot that is already out of service
+opens no new outage.
 
 Because every reconfiguration serializes through the single configuration
 access port (CAP), the ``dpr`` spans never overlap — rendering them on one
@@ -27,6 +31,11 @@ Spans still open when the trace ends (a dead slot, a task never resumed)
 are closed at the trace horizon with ``ok=False`` so nothing is silently
 dropped; :func:`expected_span_count` states the exact span count implied
 by a trace's event kinds, which the exporters and tests check against.
+
+One private walk over the stored trace rows pairs every edge. It feeds
+:func:`build_spans`, the snapshot histograms of
+:func:`repro.observe.instrument.observe_run` and the recovery intervals
+behind MTTR (:func:`repro.metrics.reliability.recovery_times_ms`).
 """
 
 from __future__ import annotations
@@ -87,6 +96,115 @@ def _sort_key(span: Span) -> Tuple:
     )
 
 
+def _walk(
+    trace: Trace, horizon: float
+) -> Tuple[List[tuple], List[float], int]:
+    """Pair the trace's edges into intervals in one pass over its rows.
+
+    Returns ``(spans, recoveries, peak_compute)``:
+
+    * every span as a tuple of :class:`Span`'s fields, in close order:
+      the spans closed by a pairing event in record order, then the open
+      configs, items, waits and outages closed at ``horizon``, in that
+      order;
+    * the recovery intervals in record order: ``SLOT_FAULT`` to the slot's
+      next ``SLOT_REPAIRED``, and ``CONFIG_FAILED`` to the task's next
+      successful ``TASK_CONFIG_DONE``; unrecovered faults contribute
+      nothing;
+    * the peak number of concurrently open compute spans.
+
+    An outage runs from a slot's *first* ``SLOT_FAULT`` to its repair; a
+    fault on a slot that is already out opens nothing new.
+
+    The dispatch chain is ordered by event frequency (item edges dominate
+    every workload, reconfigurations come second). Kinds are mutually
+    exclusive, so the order cannot change what is paired.
+    """
+    spans: List[tuple] = []
+    recoveries: List[float] = []
+    close = spans.append
+    open_configs: Dict[Tuple, float] = {}
+    open_items: Dict[Tuple, Tuple[float, Optional[float]]] = {}
+    open_waits: Dict[Tuple, Tuple[float, str, Optional[int], Optional[float]]] = {}
+    open_faults: Dict[int, Tuple[float, Optional[float]]] = {}
+    open_config_faults: Dict[Tuple, float] = {}
+    depth = peak = 0
+
+    for time, kind, app_id, task_id, slot, detail in trace._rows:
+        if kind is TraceKind.ITEM_DONE:
+            opened = open_items.pop((app_id, task_id, slot), None)
+            if opened is not None:
+                depth -= 1
+                close(("item", CATEGORY_COMPUTE, opened[0], time, slot,
+                       app_id, task_id, True, opened[1]))
+        elif kind is TraceKind.ITEM_START:
+            open_items[(app_id, task_id, slot)] = (time, detail)
+            depth += 1
+            if depth > peak:
+                peak = depth
+        elif kind is TraceKind.TASK_CONFIG_START:
+            open_configs[(app_id, task_id, slot)] = time
+        elif kind is TraceKind.TASK_CONFIG_DONE or kind is TraceKind.CONFIG_FAILED:
+            done = kind is TraceKind.TASK_CONFIG_DONE
+            started = open_configs.pop((app_id, task_id, slot), None)
+            if started is not None:
+                close(("dpr", CATEGORY_DPR, started, time, slot, app_id,
+                       task_id, done, detail))
+            if not done:
+                open_config_faults.setdefault((app_id, task_id), time)
+            else:
+                failed = open_config_faults.pop((app_id, task_id), None)
+                if failed is not None:
+                    recoveries.append(time - failed)
+        elif kind is TraceKind.TASK_PREEMPTED:
+            open_waits[(app_id, task_id)] = (time, "preempted", slot, detail)
+        elif kind is TraceKind.TASK_RESUMED:
+            opened = open_waits.pop((app_id, task_id), None)
+            if opened is not None:
+                started, name, wait_slot, carried = opened
+                close((name, CATEGORY_WAIT, started, time, wait_slot,
+                       app_id, task_id, True, carried))
+        elif kind is TraceKind.SLOT_FAULT:
+            if slot is not None:
+                # A fault mid-item kills the in-flight item: close its
+                # compute span abnormally at the fault instant.
+                for key in [k for k in open_items if k[2] == slot]:
+                    started, item = open_items.pop(key)
+                    depth -= 1
+                    close(("item", CATEGORY_COMPUTE, started, time, slot,
+                           key[0], key[1], False, item))
+                if slot not in open_faults:
+                    open_faults[slot] = (time, detail)
+            if app_id is not None:
+                open_waits[(app_id, task_id)] = (time, "evicted", slot, detail)
+        elif kind is TraceKind.SLOT_REPAIRED:
+            opened = open_faults.pop(slot, None)
+            if opened is not None:
+                close(("slot-fault", CATEGORY_FAULT, opened[0], time, slot,
+                       None, None, True, opened[1]))
+                recoveries.append(time - opened[0])
+
+    # Close whatever never paired up at the horizon, abnormally.
+    for (app_id, task_id, slot), started in open_configs.items():
+        close(("dpr", CATEGORY_DPR, started, max(horizon, started), slot,
+               app_id, task_id, False, None))
+    for (app_id, task_id, slot), (started, item) in open_items.items():
+        close(("item", CATEGORY_COMPUTE, started, max(horizon, started),
+               slot, app_id, task_id, False, item))
+    for (app_id, task_id), (started, name, slot, detail) in open_waits.items():
+        close((name, CATEGORY_WAIT, started, max(horizon, started), slot,
+               app_id, task_id, False, detail))
+    for slot, (started, detail) in open_faults.items():
+        close(("slot-fault", CATEGORY_FAULT, started, max(horizon, started),
+               slot, None, None, False, detail))
+    return spans, recoveries, peak
+
+
+def _horizon(trace: Trace) -> float:
+    """The default horizon: the last event's timestamp (0 when empty)."""
+    return trace.end_ms if len(trace) else 0.0
+
+
 def build_spans(trace: Trace, end_ms: Optional[float] = None) -> List[Span]:
     """Fold a trace into its interval view.
 
@@ -95,118 +213,8 @@ def build_spans(trace: Trace, end_ms: Optional[float] = None) -> List[Span]:
     ``(start, end, category, ...)`` and is a pure function of the trace,
     so identical runs yield identical span lists.
     """
-    spans: List[Span] = []
-    horizon = end_ms
-    if horizon is None:
-        horizon = trace.end_ms if len(trace) else 0.0
-
-    # Open interval bookkeeping, keyed to match the closing event.
-    open_configs: Dict[Tuple, float] = {}
-    open_items: Dict[Tuple, Tuple[float, Optional[float]]] = {}
-    open_waits: Dict[Tuple, Tuple[float, str, Optional[int], Optional[float]]] = {}
-    open_faults: Dict[int, Tuple[float, Optional[float]]] = {}
-
-    for event in trace:
-        kind = event.kind
-        if kind == TraceKind.TASK_CONFIG_START:
-            open_configs[(event.app_id, event.task_id, event.slot)] = event.time
-        elif kind in (TraceKind.TASK_CONFIG_DONE, TraceKind.CONFIG_FAILED):
-            key = (event.app_id, event.task_id, event.slot)
-            started = open_configs.pop(key, None)
-            if started is not None:
-                spans.append(Span(
-                    name="dpr", category=CATEGORY_DPR,
-                    start_ms=started, end_ms=event.time,
-                    slot=event.slot, app_id=event.app_id,
-                    task_id=event.task_id,
-                    ok=kind == TraceKind.TASK_CONFIG_DONE,
-                    detail=event.detail,
-                ))
-        elif kind == TraceKind.ITEM_START:
-            key = (event.app_id, event.task_id, event.slot)
-            open_items[key] = (event.time, event.detail)
-        elif kind == TraceKind.ITEM_DONE:
-            key = (event.app_id, event.task_id, event.slot)
-            opened = open_items.pop(key, None)
-            if opened is not None:
-                started, item = opened
-                spans.append(Span(
-                    name="item", category=CATEGORY_COMPUTE,
-                    start_ms=started, end_ms=event.time,
-                    slot=event.slot, app_id=event.app_id,
-                    task_id=event.task_id, ok=True, detail=item,
-                ))
-        elif kind == TraceKind.TASK_PREEMPTED:
-            open_waits[(event.app_id, event.task_id)] = (
-                event.time, "preempted", event.slot, event.detail,
-            )
-        elif kind == TraceKind.TASK_RESUMED:
-            opened = open_waits.pop((event.app_id, event.task_id), None)
-            if opened is not None:
-                started, name, slot, detail = opened
-                spans.append(Span(
-                    name=name, category=CATEGORY_WAIT,
-                    start_ms=started, end_ms=event.time,
-                    slot=slot, app_id=event.app_id,
-                    task_id=event.task_id, ok=True, detail=detail,
-                ))
-        elif kind == TraceKind.SLOT_FAULT:
-            if event.slot is not None:
-                # A fault mid-item kills the in-flight item: close its
-                # compute span abnormally at the fault instant.
-                for key in list(open_items):
-                    if key[2] == event.slot:
-                        started, item = open_items.pop(key)
-                        spans.append(Span(
-                            name="item", category=CATEGORY_COMPUTE,
-                            start_ms=started, end_ms=event.time,
-                            slot=event.slot, app_id=key[0],
-                            task_id=key[1], ok=False, detail=item,
-                        ))
-                open_faults[event.slot] = (event.time, event.detail)
-            if event.app_id is not None:
-                open_waits[(event.app_id, event.task_id)] = (
-                    event.time, "evicted", event.slot, event.detail,
-                )
-        elif kind == TraceKind.SLOT_REPAIRED:
-            if event.slot is not None:
-                opened = open_faults.pop(event.slot, None)
-                if opened is not None:
-                    started, detail = opened
-                    spans.append(Span(
-                        name="slot-fault", category=CATEGORY_FAULT,
-                        start_ms=started, end_ms=event.time,
-                        slot=event.slot, ok=True, detail=detail,
-                    ))
-
-    # Close whatever never paired up at the horizon, abnormally.
-    for (app_id, task_id, slot), started in open_configs.items():
-        spans.append(Span(
-            name="dpr", category=CATEGORY_DPR,
-            start_ms=started, end_ms=max(horizon, started),
-            slot=slot, app_id=app_id, task_id=task_id, ok=False,
-        ))
-    for (app_id, task_id, slot), (started, item) in open_items.items():
-        spans.append(Span(
-            name="item", category=CATEGORY_COMPUTE,
-            start_ms=started, end_ms=max(horizon, started),
-            slot=slot, app_id=app_id, task_id=task_id, ok=False,
-            detail=item,
-        ))
-    for (app_id, task_id), (started, name, slot, detail) in open_waits.items():
-        spans.append(Span(
-            name=name, category=CATEGORY_WAIT,
-            start_ms=started, end_ms=max(horizon, started),
-            slot=slot, app_id=app_id, task_id=task_id, ok=False,
-            detail=detail,
-        ))
-    for slot, (started, detail) in open_faults.items():
-        spans.append(Span(
-            name="slot-fault", category=CATEGORY_FAULT,
-            start_ms=started, end_ms=max(horizon, started),
-            slot=slot, ok=False, detail=detail,
-        ))
-
+    horizon = _horizon(trace) if end_ms is None else end_ms
+    spans = [Span(*row) for row in _walk(trace, horizon)[0]]
     spans.sort(key=_sort_key)
     return spans
 
@@ -217,21 +225,26 @@ def expected_span_count(trace: Trace) -> int:
     Every interval is opened by exactly one event: a reconfiguration by
     ``TASK_CONFIG_START``, an item by ``ITEM_START``, a wait by
     ``TASK_PREEMPTED`` or by a ``SLOT_FAULT`` that evicted a resident
-    task, and a slot outage by ``SLOT_FAULT``. The builder closes every
-    opened interval (at its pairing event or the horizon), so this count
-    equals ``len(build_spans(trace))`` — the exporter tests and the CI
-    trace-validation job rely on that identity.
+    task, and a slot outage by a ``SLOT_FAULT`` on a slot that is in
+    service (a re-fault before ``SLOT_REPAIRED`` opens nothing). The
+    builder closes every opened interval (at its pairing event or the
+    horizon), so this count equals ``len(build_spans(trace))`` — the
+    Chrome exporter and the CI trace-validation job check that identity.
     """
     count = 0
-    for event in trace:
-        if event.kind in (TraceKind.TASK_CONFIG_START, TraceKind.ITEM_START,
-                          TraceKind.TASK_PREEMPTED):
+    out_of_service = set()
+    for _, kind, app_id, _, slot, _ in trace._rows:
+        if kind in (TraceKind.TASK_CONFIG_START, TraceKind.ITEM_START,
+                    TraceKind.TASK_PREEMPTED):
             count += 1
-        elif event.kind == TraceKind.SLOT_FAULT:
-            if event.slot is not None:
+        elif kind is TraceKind.SLOT_FAULT:
+            if slot is not None and slot not in out_of_service:
+                out_of_service.add(slot)
                 count += 1
-            if event.app_id is not None:
+            if app_id is not None:
                 count += 1
+        elif kind is TraceKind.SLOT_REPAIRED:
+            out_of_service.discard(slot)
     return count
 
 

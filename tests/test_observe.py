@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from repro.errors import ExperimentError
+from repro.metrics.reliability import recovery_times_ms
 from repro.observe.aggregate import collect_metrics, observed_run
 from repro.observe.exporters import (
     save_chrome_trace,
@@ -42,10 +44,11 @@ from repro.sim.trace_export import load_trace, save_trace, trace_from_dict, trac
 from repro.workload.scenarios import STRESS, chaos_scenario, scenario_sequence
 
 
-def _chaos_run(rate=0.05, seed=1, num_events=12, scheduler="nimblock"):
+def _chaos_run(rate=0.05, seed=1, num_events=12, scheduler="nimblock",
+               scenario="mixed"):
     """One deterministic chaos run exercising every span pairing rule."""
     sequence = scenario_sequence(STRESS, seed, num_events)
-    faults = chaos_scenario("mixed").fault_config(rate, seed=seed)
+    faults = chaos_scenario(scenario).fault_config(rate, seed=seed)
     return observed_run(scheduler, sequence, faults)
 
 
@@ -53,6 +56,13 @@ def _chaos_run(rate=0.05, seed=1, num_events=12, scheduler="nimblock"):
 def chaos():
     """(hypervisor, observer) of the canonical chaos run."""
     return _chaos_run()
+
+
+@pytest.fixture(scope="module")
+def refaults():
+    """(hypervisor, observer) of a transient run whose slots re-fault
+    while already out of service."""
+    return _chaos_run(rate=2.0, num_events=8, scenario="transient")
 
 
 class TestSpanBuilder:
@@ -111,6 +121,30 @@ class TestSpanBuilder:
         assert len(spans) == 1 == expected_span_count(trace)
         assert spans[0].end_ms == 5.0
         assert not spans[0].ok
+
+    def test_refault_keeps_one_outage_from_first_fault(self):
+        trace = Trace()
+        trace.record(0.0, TraceKind.SLOT_FAULT, slot=0, detail=1.0)
+        trace.record(50.0, TraceKind.SLOT_FAULT, slot=0, detail=2.0)
+        trace.record(160.0, TraceKind.SLOT_REPAIRED, slot=0)
+        spans = build_spans(trace)
+        assert [(s.category, s.start_ms, s.end_ms, s.ok, s.detail)
+                for s in spans] == [(CATEGORY_FAULT, 0.0, 160.0, True, 1.0)]
+        assert expected_span_count(trace) == 1
+        assert recovery_times_ms(trace) == [160.0]
+
+    def test_span_count_matches_expected_with_refaults(self, refaults):
+        hypervisor, _ = refaults
+        trace = hypervisor.trace
+        out, refaulted = set(), 0
+        for event in trace:
+            if event.kind == TraceKind.SLOT_FAULT:
+                refaulted += event.slot in out
+                out.add(event.slot)
+            elif event.kind == TraceKind.SLOT_REPAIRED:
+                out.discard(event.slot)
+        assert refaulted > 0
+        assert len(build_spans(trace)) == expected_span_count(trace)
 
     def test_build_spans_deterministic(self, chaos):
         hypervisor, _ = chaos
@@ -231,6 +265,20 @@ class TestInstrumentation:
         snapshot = snapshot_run(hypervisor)
         assert snapshot["counters"]["nimblock_apps_retired_total"]["value"] > 0
 
+    #: sha256 of ``json.dumps(snapshot_run(hv), sort_keys=True)``. These
+    #: pin every histogram bucket and float sum the span walk feeds.
+    SNAPSHOT_PINS = {
+        "chaos": "de7f28f678c2a5f30c06e6268163ffd041a4e9934bb8811c05b4be019480354c",
+        "refaults": "f1fbf99f16153117a499902996bea38bfe5a30a0945e88af0fcbc06dee1f908c",
+    }
+
+    @pytest.mark.parametrize("run", sorted(SNAPSHOT_PINS))
+    def test_snapshot_golden_pin(self, run, request):
+        hypervisor, _ = request.getfixturevalue(run)
+        text = json.dumps(snapshot_run(hypervisor), sort_keys=True)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == self.SNAPSHOT_PINS[run]
+
     @staticmethod
     def _observed_service(trace_capacity):
         from repro.service.loop import ServiceLoop
@@ -300,6 +348,17 @@ class TestChromeExporter:
         path = save_chrome_trace(hypervisor.trace, tmp_path / "trace.json")
         payload = json.loads(path.read_text())
         assert validate_chrome_trace(payload) > 0
+
+    def test_span_count_mismatch_raises(self, chaos, monkeypatch, tmp_path):
+        from repro.observe import exporters
+
+        hypervisor, _ = chaos
+        real = expected_span_count(hypervisor.trace)
+        monkeypatch.setattr(
+            exporters, "expected_span_count", lambda trace: real + 1
+        )
+        with pytest.raises(ExperimentError, match=f"{real} spans.*{real + 1}"):
+            save_chrome_trace(hypervisor.trace, tmp_path / "trace.json")
 
     def test_validate_rejects_malformed(self):
         with pytest.raises(ExperimentError):

@@ -8,13 +8,19 @@ tasks, retire finished applications and record response times.
 Execution model
 ---------------
 Every state change (arrival, reconfiguration completion, item completion,
-periodic tick) requests a *scheduler pass*. Passes at the same simulated
-instant coalesce. A pass first lets the policy act while the configuration
-port is idle — preempting slots and/or starting at most one
-reconfiguration, because the device can only reconfigure one slot at a
-time — and then mechanically launches the next batch item on every
-configured task whose dependencies (bulk or pipelined, per the policy's
-flags) are satisfied.
+config-failure backoff, slot fault or repair) requests a *scheduler pass*.
+Passes at the same simulated instant coalesce. While applications are
+pending, a periodic tick also requests a pass, but only when something
+listens to it: a policy whose ``decide`` depends on the clock (it
+overrides ``notify_tick``), or an attached watchdog, admission controller
+or fault injector. A tick-blind run (FCFS, RR, no-sharing, EDF, DML with
+nothing attached) has no tick events at all.
+
+A pass first lets the policy act while the configuration port is idle —
+preempting slots and/or starting at most one reconfiguration, because the
+device can only reconfigure one slot at a time — and then mechanically
+launches the next batch item on every configured task whose dependencies
+(bulk or pipelined, per the policy's flags) are satisfied.
 """
 
 from __future__ import annotations
@@ -341,16 +347,28 @@ class Hypervisor:
     # ------------------------------------------------------------------
     # Periodic scheduling interval
     # ------------------------------------------------------------------
-    def _workload_active(self) -> bool:
-        # Ticks only run while applications are pending; arrival handling
-        # restarts the chain, so a long idle gap before a future arrival
-        # costs no tick events.
-        return len(self.pending) > 0
-
     def _ensure_tick(self) -> None:
-        # ``len(self.pending)`` inlined (vs _workload_active): this runs
-        # once per executed tick plus once per arrival.
+        # Runs once per executed tick plus once per arrival. Ticks only
+        # run while applications are pending (a long idle gap before a
+        # future arrival costs no tick events) and while something
+        # listens: a policy overriding ``notify_tick``, the watchdog
+        # (counts passes), the admission controller (``on_pass`` every
+        # pass; degrade ages with the clock) or the fault injector (the
+        # stall breaker needs periodic passes on a wedged board). For a
+        # tick-blind policy every state change books its own pass, so a
+        # tick pass would only repeat the previous decision. The observer
+        # is not a listener, so observing a run does not change its
+        # passes. Tested here, not in __init__: the autotuner swaps
+        # ``scheduler`` and ``admission`` mid-run.
         if self._tick_scheduled or not len(self.pending):
+            return
+        if (
+            self.watchdog is None
+            and self.admission is None
+            and self.faults is None
+            and type(self.scheduler).notify_tick
+            is SchedulerPolicy.notify_tick
+        ):
             return
         self._tick_scheduled = True
         self.engine.schedule_delay(

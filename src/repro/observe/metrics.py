@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -107,7 +108,9 @@ class Histogram:
                 f"histogram buckets must be strictly increasing, got {buckets}"
             )
         self.buckets = uppers
-        self.bucket_counts = [0] * len(uppers)  # cumulative at export time
+        # Stored cumulative: a sample counts in every bucket whose upper
+        # bound it does not exceed.
+        self.bucket_counts = [0] * len(uppers)
         self.count = 0
         self.sum = 0.0
 
@@ -115,9 +118,12 @@ class Histogram:
         """Record one sample."""
         self.count += 1
         self.sum += value
-        for index, upper in enumerate(self.buckets):
-            if value <= upper:
-                self.bucket_counts[index] += 1
+        if value != value:
+            return  # NaN is below no upper bound (bisect would say 0)
+        counts = self.bucket_counts
+        # First bucket with ``value <= upper``; every later one holds it too.
+        for index in range(bisect_left(self.buckets, value), len(counts)):
+            counts[index] += 1
 
 
 _KINDS = ("counter", "gauge", "histogram")

@@ -2,8 +2,9 @@
 
 The hypervisor invokes :meth:`SchedulerPolicy.decide` whenever the
 configuration port is idle and something changed (arrival, completion,
-reconfiguration done, periodic interval). The policy answers with at most
-one action:
+reconfiguration done, and the periodic interval when it is armed — see
+:meth:`SchedulerPolicy.notify_tick`). The policy answers with at most one
+action:
 
 * :class:`ConfigureAction` — load task ``task_id`` of application
   ``app_id`` into free slot ``slot_index`` (starts a partial
@@ -71,7 +72,17 @@ class SchedulerPolicy(ABC):
         """An application retired."""
 
     def notify_tick(self, ctx: "SchedulerContext") -> None:
-        """The periodic scheduling interval elapsed."""
+        """The periodic scheduling interval elapsed.
+
+        Contract: a policy whose ``decide`` depends on the clock
+        (``ctx.now``, or state it ages per tick, such as Nimblock's and
+        PREMA's token accumulation) must override this method. The
+        hypervisor arms the tick only for overriding policies (or when a
+        watchdog, admission controller or fault injector is attached); a
+        policy that keeps this default is treated as tick-blind and gets
+        passes only on state changes, so its ``decide`` must be a pure
+        function of the hypervisor state.
+        """
 
     def token_gen(self) -> int:
         """Mutation counter of this policy's token accounting (0 if none).

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 from typing import Optional
 
 import pytest
 
+from repro.admission import AdmissionController, Watchdog
 from repro.errors import SchedulerError
 from repro.hypervisor.hypervisor import Hypervisor
 from repro.schedulers.base import (
@@ -14,9 +16,11 @@ from repro.schedulers.base import (
     PreemptAction,
     SchedulerPolicy,
 )
-from repro.schedulers.registry import make_scheduler
+from repro.schedulers.registry import make_scheduler, scheduler_factories
+from repro.sim.trace_export import trace_to_dict
 from repro.taskgraph.builders import chain_graph
 from tests.conftest import request, run_named, small_config
+from tests.test_perf_equivalence import pinned_sequence
 
 
 class ScriptedPolicy(SchedulerPolicy):
@@ -33,6 +37,36 @@ class ScriptedPolicy(SchedulerPolicy):
         if self._actions:
             return self._actions.pop(0)
         return None
+
+
+#: Registry policies whose ``decide`` depends on the clock: they override
+#: ``notify_tick`` (Algorithm 1's token accumulation).
+TICK_LISTENERS = frozenset({
+    "nimblock", "nimblock_no_pipe", "nimblock_no_preempt",
+    "nimblock_no_preempt_no_pipe", "prema",
+})
+
+
+def _count_ticks(hv):
+    """Record the time of every interval tick ``hv`` executes."""
+    ticks = []
+    on_tick = hv._on_tick
+
+    def counted(now):
+        ticks.append(now)
+        on_tick(now)
+
+    hv._on_tick = counted
+    return ticks
+
+
+def _run_pinned(hv):
+    """Run the golden-pin workload on ``hv`` to completion."""
+    for req in pinned_sequence().to_requests():
+        hv.submit(req)
+    hv.run()
+    assert hv.all_retired
+    return hv
 
 
 def _single_app_hypervisor(actions, batch=1):
@@ -126,16 +160,49 @@ class TestBitstreamLoadModeling:
 class TestTickLifecycle:
     def test_ticks_stop_when_idle_and_resume(self):
         graph = chain_graph("c", [50.0])
-        hv = Hypervisor(make_scheduler("fcfs"), config=small_config())
+        # Nimblock listens to the tick (a tick-blind policy never arms it).
+        hv = Hypervisor(make_scheduler("nimblock"), config=small_config())
+        ticks = _count_ticks(hv)
         hv.submit(request(graph, arrival_ms=0.0))
         # A second burst long after the first workload drained.
         hv.submit(request(graph, arrival_ms=10_000.0))
         hv.run()
         assert hv.all_retired
-        # No tick events should fire during the idle gap: the engine's
-        # processed-event count stays far below gap/interval.
+        # One tick per burst: each arrival arms the chain and the tick
+        # after the drain stops it, so none fire during the idle gap.
+        assert ticks == [400.0, 10_400.0]
         idle_ticks = 10_000.0 / hv.config.scheduling_interval_ms
         assert hv.engine.processed < idle_ticks
+
+    @pytest.mark.parametrize("name", sorted(scheduler_factories()))
+    def test_unbounded_admission_changes_nothing(self, name):
+        # An attached unbounded controller arms the tick for every policy
+        # and is otherwise byte-identical to none; so a bare run, ticking
+        # or not, must equal it exactly.
+        def run(**kwargs):
+            hv = _run_pinned(Hypervisor(make_scheduler(name), **kwargs))
+            return trace_to_dict(hv.trace, label=name), hv.results()
+
+        bare = run()
+        admitted = run(admission=AdmissionController("unbounded"))
+        assert json.dumps(bare[0]) == json.dumps(admitted[0])
+        assert bare[1] == admitted[1]
+
+    @pytest.mark.parametrize("name", sorted(scheduler_factories()))
+    def test_only_clock_dependent_policies_tick(self, name):
+        hv = Hypervisor(make_scheduler(name))
+        ticks = _count_ticks(hv)
+        _run_pinned(hv)
+        if name in TICK_LISTENERS:
+            assert ticks
+        else:
+            assert ticks == []
+
+    def test_watchdog_keeps_ticks_for_tick_blind_policy(self):
+        hv = Hypervisor(make_scheduler("fcfs"), watchdog=Watchdog())
+        ticks = _count_ticks(hv)
+        _run_pinned(hv)
+        assert ticks
 
     def test_interval_tick_drives_token_accumulation(self):
         graph = chain_graph("c", [1000.0])
